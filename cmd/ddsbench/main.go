@@ -27,7 +27,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/plot"
-	"repro/internal/wire"
 )
 
 func main() {
@@ -139,17 +138,14 @@ func main() {
 	}
 }
 
-// clusterBenchReport is the schema of BENCH_cluster.json: every transport ×
-// shard-count combination measured, plus the headline speedup of the batched
-// binary transport over the JSON-per-offer baseline at equal shard count, so
-// future changes can track the performance trajectory from one file.
+// clusterBenchReport is the schema of BENCH_cluster.json: one batched ingest
+// run per shard count, plus the pipeline sweep and the optional failover,
+// reshard, autopilot, tracing and durability sections, so future changes can
+// track the performance trajectory from one file.
 type clusterBenchReport struct {
 	GeneratedUnix int64                  `json:"generated_unix"`
 	Elements      int                    `json:"elements"`
 	Results       []*cluster.BenchResult `json:"results"`
-	// SpeedupBinaryBatched maps "shards=N" to (binary batched ops/sec) /
-	// (json per-offer ops/sec) for that shard count.
-	SpeedupBinaryBatched map[string]float64 `json:"speedup_binary_batched_vs_json"`
 	// Pipeline is the window-size sweep of the pipelined ingest path.
 	Pipeline *pipelineReport `json:"pipeline"`
 	// Failover measures ingest throughput across a kill/promote event on
@@ -310,22 +306,14 @@ type pipelinePoint struct {
 	SpeedupVsSync float64 `json:"speedup_vs_sync"`
 }
 
-// runClusterBench measures cluster ingest across the transport matrix plus
+// runClusterBench measures batched cluster ingest at every shard count plus
 // the pipeline window sweep and writes the machine-readable report to path.
 // If requireSpeedup > 0 and the best pipelined window does not beat the
 // synchronous path by that factor, an error is returned (the CI smoke gate).
 func runClusterBench(path string, elements int, shardList, windowList string, seed uint64, requireSpeedup float64, failover, reshard, autopilot, slidingFailover, tracing, durability bool, windowSlots int64, replicas int, syncInterval time.Duration) error {
 	report := &clusterBenchReport{
-		GeneratedUnix:        time.Now().Unix(),
-		Elements:             elements,
-		SpeedupBinaryBatched: make(map[string]float64),
-	}
-	transports := []struct {
-		codec wire.Codec
-		batch int
-	}{
-		{wire.CodecJSON, 1},
-		{wire.CodecBinary, 64},
+		GeneratedUnix: time.Now().Unix(),
+		Elements:      elements,
 	}
 	maxShards := 1
 	for _, field := range strings.Split(shardList, ",") {
@@ -336,27 +324,21 @@ func runClusterBench(path string, elements int, shardList, windowList string, se
 		if shards > maxShards {
 			maxShards = shards
 		}
-		var opsPerSec [2]float64
-		for i, tr := range transports {
-			cfg := cluster.DefaultBenchConfig()
-			cfg.Shards = shards
-			cfg.Elements = elements
-			cfg.Distinct = elements / 4
-			cfg.Codec = tr.codec
-			cfg.Batch = tr.batch
-			if seed != 0 {
-				cfg.Seed = seed
-			}
-			res, err := cluster.RunIngestBench(cfg)
-			if err != nil {
-				return err
-			}
-			report.Results = append(report.Results, res)
-			opsPerSec[i] = res.OpsPerSec
-			fmt.Fprintf(os.Stderr, "[cluster-bench shards=%d codec=%s batch=%d: %.0f ops/s, %.3f msgs/element]\n",
-				shards, res.Codec, res.Batch, res.OpsPerSec, res.MsgsPerElement)
+		cfg := cluster.DefaultBenchConfig()
+		cfg.Shards = shards
+		cfg.Elements = elements
+		cfg.Distinct = elements / 4
+		cfg.Batch = 64
+		if seed != 0 {
+			cfg.Seed = seed
 		}
-		report.SpeedupBinaryBatched[fmt.Sprintf("shards=%d", shards)] = opsPerSec[1] / opsPerSec[0]
+		res, err := cluster.RunIngestBench(cfg)
+		if err != nil {
+			return err
+		}
+		report.Results = append(report.Results, res)
+		fmt.Fprintf(os.Stderr, "[cluster-bench shards=%d batch=%d: %.0f ops/s, %.3f msgs/element]\n",
+			shards, res.Batch, res.OpsPerSec, res.MsgsPerElement)
 	}
 
 	pipeline, err := runPipelineSweep(elements, maxShards, windowList, seed)
@@ -448,7 +430,6 @@ func runFailoverBench(elements, shards, replicas int, syncInterval time.Duration
 		cfg.Shards = shards
 		cfg.Elements = elements
 		cfg.Distinct = elements / 4
-		cfg.Codec = wire.CodecBinary
 		cfg.Batch = 64
 		cfg.Flood = true
 		if window > 1 {
@@ -489,7 +470,6 @@ func runAutopilotBench(elements, shards, replicas int, syncInterval time.Duratio
 		cfg.Shards = shards
 		cfg.Elements = elements
 		cfg.Distinct = elements / 4
-		cfg.Codec = wire.CodecBinary
 		cfg.Batch = 64
 		cfg.Flood = true
 		if window > 1 {
@@ -534,7 +514,6 @@ func runDurabilityBench(elements, shards, replicas int, syncInterval time.Durati
 		cfg.Shards = shards
 		cfg.Elements = elements
 		cfg.Distinct = elements / 4
-		cfg.Codec = wire.CodecBinary
 		cfg.Batch = 64
 		cfg.Flood = true
 		if window > 1 {
@@ -584,7 +563,6 @@ func runSlidingFailoverBench(elements, shards int, windowSlots int64, replicas i
 		cfg.Shards = shards
 		cfg.Elements = elements
 		cfg.Distinct = elements / 4
-		cfg.Codec = wire.CodecBinary
 		cfg.Batch = 64
 		if window > 1 {
 			cfg.Window = window
@@ -625,7 +603,6 @@ func runReshardBench(elements, shards, replicas int, syncInterval time.Duration,
 		cfg.Shards = shards
 		cfg.Elements = elements
 		cfg.Distinct = elements / 4
-		cfg.Codec = wire.CodecBinary
 		cfg.Batch = 64
 		cfg.Flood = true
 		if window > 1 {
@@ -664,7 +641,6 @@ func runTracingBench(elements, shards int, seed uint64) (*tracingReport, error) 
 		cfg.Shards = shards
 		cfg.Elements = elements
 		cfg.Distinct = elements / 4
-		cfg.Codec = wire.CodecBinary
 		cfg.Batch = 64
 		cfg.Window = 8
 		cfg.Flood = true
@@ -717,7 +693,6 @@ func runPipelineSweep(elements, shards int, windowList string, seed uint64) (*pi
 			cfg.Shards = shards
 			cfg.Elements = elements
 			cfg.Distinct = elements / 4
-			cfg.Codec = wire.CodecBinary
 			cfg.Batch = batch
 			cfg.Flood = true
 			if window > 1 {

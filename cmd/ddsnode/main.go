@@ -12,12 +12,12 @@
 //	ddsnode -role site -id 0 -coordinator 127.0.0.1:7070 -stream enron.tsv
 //	ddsnode -role query -coordinator 127.0.0.1:7070
 //
-// A 4-shard cluster with pipelined batched binary ingest (shard c listens on
-// port 7070+c; -pipeline 8 lets up to 8 batch frames stream per connection):
+// A 4-shard cluster with pipelined batched ingest (shard c listens on port
+// 7070+c; -pipeline 8 lets up to 8 batch frames stream per connection):
 //
 //	ddsnode -role cluster-coordinator -shards 4 -listen 127.0.0.1:7070 -sample 20
 //	ddsnode -role site -id 0 -coordinator 127.0.0.1:7070,127.0.0.1:7071,127.0.0.1:7072,127.0.0.1:7073 \
-//	        -codec binary -batch 64 -pipeline 8 -stream enron.tsv
+//	        -batch 64 -pipeline 8 -stream enron.tsv
 //	ddsnode -role query -sample 20 -coordinator 127.0.0.1:7070,...
 //
 // With -replicas R > 0 every shard becomes a replica group of 1 + R members
@@ -70,7 +70,6 @@ import (
 
 	"repro/dds"
 	"repro/internal/core"
-	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/sliding"
 	"repro/internal/stream"
@@ -94,7 +93,6 @@ type nodeFlags struct {
 	Window       int64
 	Stream       string
 	HashSeed     uint64
-	Codec        string
 	Batch        int
 	Pipeline     int
 	Admin        string
@@ -125,9 +123,6 @@ func validateFlags(f nodeFlags) error {
 	case "coordinator", "cluster-coordinator", "replica", "site", "query", "reshard", "scrape":
 	default:
 		return fmt.Errorf("unknown role %q (want coordinator, cluster-coordinator, replica, site, query, reshard, or scrape)", f.Role)
-	}
-	if f.Codec != "json" && f.Codec != "binary" {
-		return fmt.Errorf("unknown codec %q (want json or binary)", f.Codec)
 	}
 	if f.Sample < 1 {
 		return fmt.Errorf("-sample %d: the sample size must be at least 1", f.Sample)
@@ -293,7 +288,6 @@ func main() {
 	flag.Int64Var(&f.Window, "window", 0, "window size in slots; > 0 switches to the sliding-window protocol")
 	flag.StringVar(&f.Stream, "stream", "", "stream file to replay (site role); '-' reads stdin")
 	flag.Uint64Var(&f.HashSeed, "hash-seed", dds.DefaultSeed, "shared hash-function seed (must match on all nodes)")
-	flag.StringVar(&f.Codec, "codec", "binary", "wire codec: json or binary")
 	flag.IntVar(&f.Batch, "batch", 1, "offers per batch frame; > 1 enables batched transport (site role)")
 	flag.IntVar(&f.Pipeline, "pipeline", 0, "pipelined ingest: max batch frames in flight per connection; 0 = synchronous (site role; try 8)")
 	flag.StringVar(&f.Admin, "admin", "", "resharding admin address: the cluster-coordinator role listens on it, site/query/reshard roles connect to it")
@@ -363,7 +357,7 @@ func fatal(err error) {
 
 // options renders the shared flags as dds functional options.
 func (f nodeFlags) options() []dds.Option {
-	opts := []dds.Option{dds.WithCodec(dds.Codec(f.Codec))}
+	var opts []dds.Option
 	if f.Window > 0 {
 		opts = append(opts, dds.WithWindow(f.Window))
 	}
@@ -470,7 +464,7 @@ func runCoordinator(f nodeFlags) {
 // group's member list. (This role sits below the dds API on purpose: a bare
 // replica is a single wire-level coordinator server, not a cluster.)
 // newReplicaNode builds the protocol coordinator a standalone replica hosts.
-func newReplicaNode(f nodeFlags) netsim.CoordinatorNode {
+func newReplicaNode(f nodeFlags) wire.Node {
 	if f.Window > 0 {
 		return sliding.NewCoordinator()
 	}
@@ -553,7 +547,7 @@ func runSite(f nodeFlags) {
 	if f.Pipeline > 1 {
 		mode = fmt.Sprintf("pipelined window %d", f.Pipeline)
 	}
-	fmt.Printf("site %d replayed %d elements [%s, batch %d, %s]\n", f.ID, len(elements), f.Codec, f.Batch, mode)
+	fmt.Printf("site %d replayed %d elements [batch %d, %s]\n", f.ID, len(elements), f.Batch, mode)
 }
 
 func runQuery(f nodeFlags) {

@@ -17,7 +17,6 @@ func validFlags() nodeFlags {
 		Replicas:     0,
 		SyncInterval: 100 * time.Millisecond,
 		Sample:       20,
-		Codec:        "binary",
 		Batch:        1,
 		Pipeline:     0,
 		MergeRange:   -1,
@@ -41,7 +40,6 @@ func TestValidateFlags(t *testing.T) {
 	}{
 		{"defaults", func(f *nodeFlags) {}, ""},
 		{"unknown role", func(f *nodeFlags) { f.Role = "observer" }, "unknown role"},
-		{"unknown codec", func(f *nodeFlags) { f.Codec = "protobuf" }, "unknown codec"},
 		{"zero sample", func(f *nodeFlags) { f.Sample = 0 }, "-sample"},
 		{"negative window", func(f *nodeFlags) { f.Window = -5 }, "-window"},
 		{"zero shards", func(f *nodeFlags) { f.Role = "cluster-coordinator"; f.Shards = 0 }, "-shards"},

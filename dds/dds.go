@@ -49,18 +49,6 @@ const DefaultSeed = 20130501
 // DefaultSampleSize is the sample size used when Config.SampleSize is zero.
 const DefaultSampleSize = 20
 
-// Codec names a wire encoding.
-type Codec string
-
-// Supported wire codecs.
-const (
-	// CodecJSON is the human-readable newline-delimited JSON encoding.
-	CodecJSON Codec = "json"
-	// CodecBinary is the length-prefixed binary encoding — the
-	// high-throughput choice, and the default.
-	CodecBinary Codec = "binary"
-)
-
 // ErrDeposed reports an epoch fence: the coordinator a state push or sync
 // targeted has been promoted past the sender's epoch, so the sender is (or
 // was talking to) a deposed primary. Detect it with errors.Is.
@@ -76,14 +64,6 @@ var ErrStaleRoute = wire.ErrStaleRoute
 // until renewal or promotion. Clients heal it automatically (WithRetry);
 // detect it with errors.Is when driving the transport directly.
 var ErrLeaseLapsed = wire.ErrLeaseLapsed
-
-// ErrNotSnapshottable reports that a coordinator node refused a
-// state-snapshot operation because it predates the Snapshot/Restore API
-// (legacy simulation nodes; every built-in dds coordinator — the per-copy
-// sliding-window one included — supports snapshots). Replica attach, backup
-// (Client.Snapshot), and reshard handoffs all surface it; detect it with
-// errors.Is.
-var ErrNotSnapshottable = wire.ErrNotSnapshottable
 
 // Config carries the identity and topology shared by Open, Query, and
 // Serve. Transport and replication knobs are set through Options.
@@ -109,7 +89,6 @@ type Config struct {
 	// Shards is the number of coordinator shards (Serve only). Zero means 1.
 	Shards int
 
-	codec        Codec
 	window       int64
 	batch        int
 	pipeline     int
@@ -138,9 +117,6 @@ type Config struct {
 // Option configures transport, window, and replication behavior for Open,
 // Query, and Serve.
 type Option func(*Config)
-
-// WithCodec selects the wire encoding (default CodecBinary).
-func WithCodec(c Codec) Option { return func(cfg *Config) { cfg.codec = c } }
 
 // WithWindow switches the deployment to the sliding-window protocol: the
 // sample covers the distinct elements whose most recent arrival lies within
@@ -264,8 +240,11 @@ func WithSnapRetain(k int) Option { return func(cfg *Config) { cfg.snapRetain = 
 func WithAdmin(addr string) Option { return func(cfg *Config) { cfg.admin = addr } }
 
 // Entry is one element of a sample: the element's key, its unit hash under
-// the deployment's shared hash function, and — in sliding-window mode — the
-// last slot at which it is still inside the window.
+// the deployment's shared hash function, and — in sliding-window mode — a
+// slot until which the element is inside the window at least. It need not
+// be the element's last live slot: a repeat arrival of the current minimum
+// is not reported to the coordinator, so a later arrival can extend the
+// element's life past the returned Expiry.
 type Entry struct {
 	Key    string  `json:"key"`
 	Hash   float64 `json:"hash"`
@@ -319,9 +298,6 @@ func (cfg Config) normalize(opts []Option) (Config, error) {
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = DefaultSeed
-	}
-	if cfg.codec == "" {
-		cfg.codec = CodecBinary
 	}
 	if cfg.batch == 0 {
 		cfg.batch = 1
@@ -386,20 +362,11 @@ func (cfg Config) normalize(opts []Option) (Config, error) {
 	case cfg.autoReshard && (cfg.watchCooldown < 0 || cfg.watchInterval < 0):
 		return cfg, fmt.Errorf("dds: autoreshard cooldown %v and interval %v must not be negative", cfg.watchCooldown, cfg.watchInterval)
 	}
-	if _, err := wire.ParseCodec(string(cfg.codec)); err != nil {
-		return cfg, fmt.Errorf("dds: unknown codec %q (want %q or %q)", cfg.codec, CodecJSON, CodecBinary)
-	}
 	return cfg, nil
-}
-
-func (cfg *Config) wireCodec() wire.Codec {
-	c, _ := wire.ParseCodec(string(cfg.codec))
-	return c
 }
 
 func (cfg *Config) wireOptions() wire.Options {
 	return wire.Options{
-		Codec:     cfg.wireCodec(),
 		BatchSize: cfg.batch,
 		Window:    cfg.pipeline,
 		RetryMax:  cfg.retryMax,
@@ -525,13 +492,13 @@ func (c *Client) Flush() error { return c.sc.Flush() }
 func (c *Client) Query(ctx context.Context) (Sample, error) {
 	groups := c.sc.Groups()
 	if c.cfg.window > 0 {
-		entries, err := queryWindowCtx(ctx, groups, c.lastSlot, c.cfg.wireCodec())
+		entries, err := queryWindowCtx(ctx, groups, c.lastSlot)
 		if err != nil {
 			return nil, err
 		}
 		return toSample(entries), nil
 	}
-	entries, err := queryGroupsCtx(ctx, groups, c.cfg.SampleSize, c.cfg.wireCodec())
+	entries, err := queryGroupsCtx(ctx, groups, c.cfg.SampleSize)
 	if err != nil {
 		return nil, err
 	}
@@ -578,7 +545,6 @@ func (c *Client) Estimate(ctx context.Context) (Estimate, error) {
 // and handoff frames carry; persist them as a backup.
 func (c *Client) Snapshot(ctx context.Context) ([]ShardState, error) {
 	groups := c.sc.Groups()
-	codec := c.cfg.wireCodec()
 	var out []ShardState
 	for slot, members := range groups {
 		if len(members) == 0 {
@@ -587,7 +553,7 @@ func (c *Client) Snapshot(ctx context.Context) ([]ShardState, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		st, err := snapshotGroup(ctx, members, codec)
+		st, err := snapshotGroup(ctx, members)
 		if err != nil {
 			return nil, fmt.Errorf("dds: snapshot shard %d: %w", slot, err)
 		}
@@ -611,7 +577,6 @@ func (c *Client) Backup(ctx context.Context, dir string) error {
 		return fmt.Errorf("dds: backup: %w", err)
 	}
 	table := c.sc.Table()
-	codec := c.cfg.wireCodec()
 	for slot, members := range c.sc.Groups() {
 		if len(members) == 0 {
 			continue // retired by resharding
@@ -619,7 +584,7 @@ func (c *Client) Backup(ctx context.Context, dir string) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		st, err := snapshotGroup(ctx, members, codec)
+		st, err := snapshotGroup(ctx, members)
 		if err != nil {
 			return fmt.Errorf("dds: backup shard %d: %w", slot, err)
 		}
@@ -666,13 +631,13 @@ func QueryAsOf(ctx context.Context, asOf int64, cfg Config, opts ...Option) (Sam
 		return nil, err
 	}
 	if cfg.window > 0 {
-		entries, err := queryWindowCtx(ctx, groups, asOf, cfg.wireCodec())
+		entries, err := queryWindowCtx(ctx, groups, asOf)
 		if err != nil {
 			return nil, err
 		}
 		return toSample(entries), nil
 	}
-	entries, err := queryGroupsCtx(ctx, groups, cfg.SampleSize, cfg.wireCodec())
+	entries, err := queryGroupsCtx(ctx, groups, cfg.SampleSize)
 	if err != nil {
 		return nil, err
 	}
@@ -681,14 +646,14 @@ func QueryAsOf(ctx context.Context, asOf int64, cfg Config, opts ...Option) (Sam
 
 // queryGroupsCtx runs the cluster query under a context: cancellation
 // abandons the wait (the underlying fan-out finishes in the background).
-func queryGroupsCtx(ctx context.Context, groups [][]string, size int, codec wire.Codec) ([]netsim.SampleEntry, error) {
+func queryGroupsCtx(ctx context.Context, groups [][]string, size int) ([]netsim.SampleEntry, error) {
 	type result struct {
 		entries []netsim.SampleEntry
 		err     error
 	}
 	done := make(chan result, 1)
 	go func() {
-		entries, err := cluster.QueryGroups(groups, size, codec)
+		entries, err := cluster.QueryGroups(groups, size)
 		done <- result{entries, err}
 	}()
 	select {
@@ -704,14 +669,14 @@ func queryGroupsCtx(ctx context.Context, groups [][]string, size int, codec wire
 
 // queryWindowCtx runs the snapshot-based window query under a context (see
 // queryGroupsCtx for the cancellation contract).
-func queryWindowCtx(ctx context.Context, groups [][]string, asOf int64, codec wire.Codec) ([]netsim.SampleEntry, error) {
+func queryWindowCtx(ctx context.Context, groups [][]string, asOf int64) ([]netsim.SampleEntry, error) {
 	type result struct {
 		entries []netsim.SampleEntry
 		err     error
 	}
 	done := make(chan result, 1)
 	go func() {
-		entries, err := cluster.QueryWindowGroups(groups, asOf, codec)
+		entries, err := cluster.QueryWindowGroups(groups, asOf)
 		done <- result{entries, err}
 	}()
 	select {
@@ -728,13 +693,13 @@ func queryWindowCtx(ctx context.Context, groups [][]string, asOf int64, codec wi
 // snapshotGroup fetches one shard's state via the shared primary-resolution
 // walk: the current primary (probed by epoch) preferred, any live member —
 // whose state is at most one sync interval stale — as fallback.
-func snapshotGroup(ctx context.Context, members []string, codec wire.Codec) (core.State, error) {
+func snapshotGroup(ctx context.Context, members []string) (core.State, error) {
 	if err := ctx.Err(); err != nil {
 		return core.State{}, err
 	}
 	var st core.State
-	err := cluster.WithGroupPrimary(members, codec, func(addr string) error {
-		s, err := wire.SnapshotAddr(addr, codec)
+	err := cluster.WithGroupPrimary(members, func(addr string) error {
+		s, err := wire.SnapshotAddr(addr)
 		if err == nil {
 			st = s
 		}

@@ -118,8 +118,7 @@ func TestAutoReshardOptionAndStats(t *testing.T) {
 // multi-copy gap: Client.Snapshot against a per-copy sliding-window
 // coordinator now succeeds — the MultiCoordinator gained real
 // Snapshot/Restore via the section-level slot clock — and the captured blob
-// is the full multi-copy state: sliding kind, one section per copy. (This
-// test previously pinned the gap by asserting dds.ErrNotSnapshottable.)
+// is the full multi-copy state: sliding kind, one section per copy.
 func TestSnapshotMultiCoordinator(t *testing.T) {
 	const copies = 4
 	srv := wire.NewCoordinatorServer(sliding.NewMultiCoordinator(copies))

@@ -11,10 +11,10 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/durable"
-	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/replica"
 	"repro/internal/sliding"
+	"repro/internal/wire"
 )
 
 // Cluster is an embeddable sampler cluster: Shards replica groups (one
@@ -32,8 +32,7 @@ type Cluster struct {
 }
 
 // Serve starts a cluster per cfg (Listen, Shards, SampleSize, Seed, plus the
-// WithWindow/WithReplicas/WithSyncInterval/WithLease/WithCodec/WithAdmin
-// options) and
+// WithWindow/WithReplicas/WithSyncInterval/WithLease/WithAdmin options) and
 // returns it running. The context bounds startup only; the cluster serves
 // until Close.
 func Serve(ctx context.Context, cfg Config, opts ...Option) (*Cluster, error) {
@@ -50,7 +49,7 @@ func Serve(ctx context.Context, cfg Config, opts ...Option) (*Cluster, error) {
 	if cfg.traceSampleSet {
 		obs.SetTraceSampleRate(cfg.traceSample)
 	}
-	newCoord := func(shard, member int) netsim.CoordinatorNode {
+	newCoord := func(shard, member int) wire.Node {
 		if cfg.window > 0 {
 			return sliding.NewCoordinator()
 		}
@@ -74,7 +73,6 @@ func Serve(ctx context.Context, cfg Config, opts ...Option) (*Cluster, error) {
 			Replicas:     cfg.replicas,
 			SyncInterval: cfg.syncInterval,
 			Lease:        cfg.lease,
-			Codec:        cfg.wireCodec(),
 			RouteHash:    router.RouteHash,
 		}, newCoord)
 		if err != nil {
@@ -85,7 +83,7 @@ func Serve(ctx context.Context, cfg Config, opts ...Option) (*Cluster, error) {
 		cfg:    cfg,
 		router: router,
 		srv:    srv,
-		rs:     cluster.NewResharder(srv, router.Table(), cfg.wireCodec()),
+		rs:     cluster.NewResharder(srv, router.Table()),
 		spool:  spool,
 	}
 	if spool != nil {
@@ -118,7 +116,7 @@ func Serve(ctx context.Context, cfg Config, opts ...Option) (*Cluster, error) {
 // persisted route table (uniform over cfg.Shards for a fresh dir), restore
 // every routed shard's newest valid snapshot into the starting groups, and
 // arm background spooling.
-func serveDurable(cfg Config, newCoord func(shard, member int) netsim.CoordinatorNode) (*cluster.ShardRouter, *replica.Server, *durable.Spool, error) {
+func serveDurable(cfg Config, newCoord func(shard, member int) wire.Node) (*cluster.ShardRouter, *replica.Server, *durable.Spool, error) {
 	sp, err := durable.Open(cfg.dataDir, cfg.snapRetain)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("dds: serve: %w", err)
@@ -152,7 +150,6 @@ func serveDurable(cfg Config, newCoord func(shard, member int) netsim.Coordinato
 		Replicas:      cfg.replicas,
 		SyncInterval:  cfg.syncInterval,
 		Lease:         cfg.lease,
-		Codec:         cfg.wireCodec(),
 		RouteHash:     router.RouteHash,
 		SpoolInterval: cfg.snapInterval,
 	}, newCoord)
@@ -325,7 +322,7 @@ func (cl *Cluster) SyncNow() error { return cl.srv.SyncNow() }
 // candidates behind an expired minimum).
 func (cl *Cluster) Sample(asOf int64) (Sample, error) {
 	if cl.cfg.window > 0 {
-		entries, err := cluster.QueryWindowGroups(cl.Groups(), asOf, cl.cfg.wireCodec())
+		entries, err := cluster.QueryWindowGroups(cl.Groups(), asOf)
 		if err != nil {
 			return nil, err
 		}

@@ -25,7 +25,6 @@ type BenchConfig struct {
 	SampleSize int
 	Elements   int
 	Distinct   int
-	Codec      wire.Codec
 	Batch      int
 	// Window > 1 enables pipelined ingest with that many batches in flight
 	// per connection (see wire.Options.Window); 0 or 1 is the synchronous
@@ -51,7 +50,6 @@ func DefaultBenchConfig() BenchConfig {
 		SampleSize: 32,
 		Elements:   20000,
 		Distinct:   5000,
-		Codec:      wire.CodecJSON,
 		Batch:      1,
 		Seed:       20130501,
 	}
@@ -64,7 +62,6 @@ type BenchResult struct {
 	Shards            int     `json:"shards"`
 	Sites             int     `json:"sites"`
 	SampleSize        int     `json:"sample_size"`
-	Codec             string  `json:"codec"`
 	Batch             int     `json:"batch"`
 	Window            int     `json:"window"`
 	Flood             bool    `json:"flood,omitempty"`
@@ -114,7 +111,7 @@ func RunIngestBench(cfg BenchConfig) (*BenchResult, error) {
 		perSite[a.Site] = append(perSite[a.Site], a)
 	}
 
-	srv, err := Listen("127.0.0.1:0", cfg.Shards, func(int) netsim.CoordinatorNode {
+	srv, err := Listen("127.0.0.1:0", cfg.Shards, func(int) wire.Node {
 		return core.NewInfiniteCoordinator(cfg.SampleSize)
 	})
 	if err != nil {
@@ -123,7 +120,7 @@ func RunIngestBench(cfg BenchConfig) (*BenchResult, error) {
 	defer srv.Close()
 
 	router := NewShardRouter(cfg.Shards, hasher)
-	opts := wire.Options{Codec: cfg.Codec, BatchSize: cfg.Batch, Window: cfg.Window}
+	opts := wire.Options{BatchSize: cfg.Batch, Window: cfg.Window}
 	clients := make([]*SiteClient, cfg.Sites)
 	// Close any still-open clients on every exit path: the deferred
 	// srv.Close() waits for connection handlers, which only return once
@@ -183,8 +180,8 @@ func RunIngestBench(cfg BenchConfig) (*BenchResult, error) {
 	oracle := core.NewReference(cfg.SampleSize, hasher)
 	oracle.ObserveAll(stream.Keys(elements))
 	if !oracle.SameSample(merged) {
-		return nil, fmt.Errorf("cluster: merged sample diverged from the centralized reference (shards=%d codec=%s batch=%d window=%d)",
-			cfg.Shards, cfg.Codec, cfg.Batch, cfg.Window)
+		return nil, fmt.Errorf("cluster: merged sample diverged from the centralized reference (shards=%d batch=%d window=%d)",
+			cfg.Shards, cfg.Batch, cfg.Window)
 	}
 
 	offers, replies, _ := srv.Stats()
@@ -201,7 +198,6 @@ func RunIngestBench(cfg BenchConfig) (*BenchResult, error) {
 		Shards:            cfg.Shards,
 		Sites:             cfg.Sites,
 		SampleSize:        cfg.SampleSize,
-		Codec:             cfg.Codec.String(),
 		Batch:             cfg.Batch,
 		Window:            cfg.Window,
 		Flood:             cfg.Flood,
@@ -224,15 +220,14 @@ func RunIngestBench(cfg BenchConfig) (*BenchResult, error) {
 // shard split, the cutover's cost, and (after a merge reunites the ranges)
 // the proof that the merged sample still matches the centralized reference.
 type ReshardBenchResult struct {
-	Shards     int    `json:"shards"`
-	Sites      int    `json:"sites"`
-	Replicas   int    `json:"replicas"`
-	SampleSize int    `json:"sample_size"`
-	Codec      string `json:"codec"`
-	Batch      int    `json:"batch"`
-	Window     int    `json:"window"`
-	Flood      bool   `json:"flood,omitempty"`
-	Elements   int    `json:"elements"`
+	Shards     int  `json:"shards"`
+	Sites      int  `json:"sites"`
+	Replicas   int  `json:"replicas"`
+	SampleSize int  `json:"sample_size"`
+	Batch      int  `json:"batch"`
+	Window     int  `json:"window"`
+	Flood      bool `json:"flood,omitempty"`
+	Elements   int  `json:"elements"`
 	// BeforeOpsPerSec / DuringOpsPerSec / AfterOpsPerSec are the ingest
 	// throughput of the three stream thirds; the middle third absorbs the
 	// concurrent split (group bring-up, warm + settle handoffs, and every
@@ -279,9 +274,8 @@ func RunReshardBench(cfg BenchConfig, replicas int, syncInterval time.Duration) 
 	srv, err := replica.Listen("127.0.0.1:0", cfg.Shards, replica.Options{
 		Replicas:     replicas,
 		SyncInterval: syncInterval,
-		Codec:        cfg.Codec,
 		RouteHash:    router.RouteHash,
-	}, func(int, int) netsim.CoordinatorNode {
+	}, func(int, int) wire.Node {
 		return core.NewInfiniteCoordinator(cfg.SampleSize)
 	})
 	if err != nil {
@@ -289,7 +283,7 @@ func RunReshardBench(cfg BenchConfig, replicas int, syncInterval time.Duration) 
 	}
 	defer srv.Close()
 
-	opts := wire.Options{Codec: cfg.Codec, BatchSize: cfg.Batch, Window: cfg.Window}
+	opts := wire.Options{BatchSize: cfg.Batch, Window: cfg.Window}
 	clients := make([]*SiteClient, cfg.Sites)
 	defer func() {
 		for _, c := range clients {
@@ -310,7 +304,7 @@ func RunReshardBench(cfg BenchConfig, replicas int, syncInterval time.Duration) 
 			return nil, err
 		}
 	}
-	rs := NewResharder(srv, router.Table(), cfg.Codec)
+	rs := NewResharder(srv, router.Table())
 	rs.Register(clients...)
 
 	// ingestThird replays arrivals[third] of every site concurrently and
@@ -427,8 +421,8 @@ func RunReshardBench(cfg BenchConfig, replicas int, syncInterval time.Duration) 
 	oracle := core.NewReference(cfg.SampleSize, hasher)
 	oracle.ObserveAll(stream.Keys(elements))
 	if !oracle.SameSample(merged) {
-		return nil, fmt.Errorf("cluster: post-reshard merged sample diverged from the centralized reference (shards=%d replicas=%d codec=%s batch=%d window=%d)",
-			cfg.Shards, replicas, cfg.Codec, cfg.Batch, cfg.Window)
+		return nil, fmt.Errorf("cluster: post-reshard merged sample diverged from the centralized reference (shards=%d replicas=%d batch=%d window=%d)",
+			cfg.Shards, replicas, cfg.Batch, cfg.Window)
 	}
 
 	third := len(arrivals) / 3
@@ -437,7 +431,6 @@ func RunReshardBench(cfg BenchConfig, replicas int, syncInterval time.Duration) 
 		Sites:                cfg.Sites,
 		Replicas:             replicas,
 		SampleSize:           cfg.SampleSize,
-		Codec:                cfg.Codec.String(),
 		Batch:                cfg.Batch,
 		Window:               cfg.Window,
 		Flood:                cfg.Flood,
@@ -461,12 +454,11 @@ func RunReshardBench(cfg BenchConfig, replicas int, syncInterval time.Duration) 
 // deliberated and cut over, and the proof that the automated cutover lost
 // and duplicated nothing.
 type AutopilotBenchResult struct {
-	Shards     int    `json:"shards"`
-	Sites      int    `json:"sites"`
-	Replicas   int    `json:"replicas"`
-	SampleSize int    `json:"sample_size"`
-	Codec      string `json:"codec"`
-	Batch      int    `json:"batch"`
+	Shards     int `json:"shards"`
+	Sites      int `json:"sites"`
+	Replicas   int `json:"replicas"`
+	SampleSize int `json:"sample_size"`
+	Batch      int `json:"batch"`
 	// Elements is one ingest round's arrival count (rounds replay the same
 	// stream — redundant offers never change a bottom-s sample).
 	Elements int `json:"elements"`
@@ -540,9 +532,8 @@ func RunAutopilotBench(cfg BenchConfig, replicas int, syncInterval time.Duration
 	srv, err := replica.Listen("127.0.0.1:0", cfg.Shards, replica.Options{
 		Replicas:     replicas,
 		SyncInterval: syncInterval,
-		Codec:        cfg.Codec,
 		RouteHash:    router.RouteHash,
-	}, func(int, int) netsim.CoordinatorNode {
+	}, func(int, int) wire.Node {
 		return core.NewInfiniteCoordinator(cfg.SampleSize)
 	})
 	if err != nil {
@@ -551,7 +542,7 @@ func RunAutopilotBench(cfg BenchConfig, replicas int, syncInterval time.Duration
 	defer srv.Close()
 
 	opts := wire.Options{
-		Codec: cfg.Codec, BatchSize: cfg.Batch, Window: cfg.Window,
+		BatchSize: cfg.Batch, Window: cfg.Window,
 		RetryMax: 12, RetryBase: 2 * time.Millisecond,
 	}
 	clients := make([]*SiteClient, cfg.Sites)
@@ -574,7 +565,7 @@ func RunAutopilotBench(cfg BenchConfig, replicas int, syncInterval time.Duration
 			return nil, err
 		}
 	}
-	rs := NewResharder(srv, router.Table(), cfg.Codec)
+	rs := NewResharder(srv, router.Table())
 	rs.Register(clients...)
 
 	// ingestRound replays every site's whole stream concurrently, then keeps
@@ -683,8 +674,8 @@ func RunAutopilotBench(cfg BenchConfig, replicas int, syncInterval time.Duration
 	oracle := core.NewReference(cfg.SampleSize, hasher)
 	oracle.ObserveAll(stream.Keys(elements))
 	if !oracle.SameSample(merged) {
-		return nil, fmt.Errorf("cluster: merged sample diverged from the centralized reference after an autopilot split (shards=%d replicas=%d codec=%s)",
-			cfg.Shards, replicas, cfg.Codec)
+		return nil, fmt.Errorf("cluster: merged sample diverged from the centralized reference after an autopilot split (shards=%d replicas=%d)",
+			cfg.Shards, replicas)
 	}
 
 	st := w.Stats()
@@ -693,7 +684,6 @@ func RunAutopilotBench(cfg BenchConfig, replicas int, syncInterval time.Duration
 		Sites:               cfg.Sites,
 		Replicas:            replicas,
 		SampleSize:          cfg.SampleSize,
-		Codec:               cfg.Codec.String(),
 		Batch:               cfg.Batch,
 		Elements:            len(arrivals),
 		HotShare:            hotShare,
@@ -722,7 +712,6 @@ type SlidingFailoverResult struct {
 	Sites       int     `json:"sites"`
 	Replicas    int     `json:"replicas"`
 	WindowSlots int64   `json:"window_slots"`
-	Codec       string  `json:"codec"`
 	Batch       int     `json:"batch"`
 	Window      int     `json:"window"`
 	Elements    int     `json:"elements"`
@@ -772,9 +761,8 @@ func RunSlidingFailoverBench(cfg BenchConfig, windowSlots int64, replicas int, s
 	srv, err := replica.Listen("127.0.0.1:0", cfg.Shards, replica.Options{
 		Replicas:     replicas,
 		SyncInterval: syncInterval,
-		Codec:        cfg.Codec,
 		RouteHash:    router.RouteHash,
-	}, func(int, int) netsim.CoordinatorNode {
+	}, func(int, int) wire.Node {
 		return sliding.NewCoordinator()
 	})
 	if err != nil {
@@ -782,7 +770,7 @@ func RunSlidingFailoverBench(cfg BenchConfig, windowSlots int64, replicas int, s
 	}
 	defer srv.Close()
 
-	opts := wire.Options{Codec: cfg.Codec, BatchSize: cfg.Batch, Window: cfg.Window}
+	opts := wire.Options{BatchSize: cfg.Batch, Window: cfg.Window}
 	clients := make([]*SiteClient, cfg.Sites)
 	defer func() {
 		for _, c := range clients {
@@ -907,7 +895,6 @@ func RunSlidingFailoverBench(cfg BenchConfig, windowSlots int64, replicas int, s
 		Sites:             cfg.Sites,
 		Replicas:          replicas,
 		WindowSlots:       windowSlots,
-		Codec:             cfg.Codec.String(),
 		Batch:             cfg.Batch,
 		Window:            cfg.Window,
 		Elements:          len(arrivals),
@@ -932,7 +919,6 @@ type FailoverResult struct {
 	Sites        int     `json:"sites"`
 	Replicas     int     `json:"replicas"`
 	SampleSize   int     `json:"sample_size"`
-	Codec        string  `json:"codec"`
 	Batch        int     `json:"batch"`
 	Window       int     `json:"window"`
 	Flood        bool    `json:"flood,omitempty"`
@@ -957,7 +943,7 @@ type FailoverResult struct {
 // RunFailoverBench measures ingest throughput across a kill/promote event:
 // cfg.Sites clients ingest the first half of the stream into a cluster of
 // cfg.Shards replica groups (each 1 primary + replicas warm standbys), the
-// run quiesces (flush + forced state-sync, so replication is exactly caught
+// run quiesces (flush + forced sync round, so replication is exactly caught
 // up), shard 0's primary is killed, and the second half is ingested through
 // the promotion. The merged sample over the surviving primaries must be
 // byte-identical to the centralized reference — a kill that loses state
@@ -977,8 +963,7 @@ func RunFailoverBench(cfg BenchConfig, replicas int, syncInterval time.Duration)
 	srv, err := replica.Listen("127.0.0.1:0", cfg.Shards, replica.Options{
 		Replicas:     replicas,
 		SyncInterval: syncInterval,
-		Codec:        cfg.Codec,
-	}, func(int, int) netsim.CoordinatorNode {
+	}, func(int, int) wire.Node {
 		return core.NewInfiniteCoordinator(cfg.SampleSize)
 	})
 	if err != nil {
@@ -987,7 +972,7 @@ func RunFailoverBench(cfg BenchConfig, replicas int, syncInterval time.Duration)
 	defer srv.Close()
 
 	router := NewShardRouter(cfg.Shards, hasher)
-	opts := wire.Options{Codec: cfg.Codec, BatchSize: cfg.Batch, Window: cfg.Window}
+	opts := wire.Options{BatchSize: cfg.Batch, Window: cfg.Window}
 	clients := make([]*SiteClient, cfg.Sites)
 	defer func() {
 		for _, c := range clients {
@@ -1084,8 +1069,8 @@ func RunFailoverBench(cfg BenchConfig, replicas int, syncInterval time.Duration)
 	oracle := core.NewReference(cfg.SampleSize, hasher)
 	oracle.ObserveAll(stream.Keys(elements))
 	if !oracle.SameSample(merged) {
-		return nil, fmt.Errorf("cluster: post-promotion merged sample diverged from the centralized reference (shards=%d replicas=%d codec=%s batch=%d window=%d)",
-			cfg.Shards, replicas, cfg.Codec, cfg.Batch, cfg.Window)
+		return nil, fmt.Errorf("cluster: post-promotion merged sample diverged from the centralized reference (shards=%d replicas=%d batch=%d window=%d)",
+			cfg.Shards, replicas, cfg.Batch, cfg.Window)
 	}
 
 	return &FailoverResult{
@@ -1093,7 +1078,6 @@ func RunFailoverBench(cfg BenchConfig, replicas int, syncInterval time.Duration)
 		Sites:             cfg.Sites,
 		Replicas:          replicas,
 		SampleSize:        cfg.SampleSize,
-		Codec:             cfg.Codec.String(),
 		Batch:             cfg.Batch,
 		Window:            cfg.Window,
 		Flood:             cfg.Flood,

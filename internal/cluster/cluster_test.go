@@ -21,7 +21,7 @@ import (
 // returns the running server.
 func ingest(t *testing.T, shards, k, s int, hasher hashing.UnitHasher, arrivals []stream.Arrival, opts wire.Options) *Server {
 	t.Helper()
-	srv, err := Listen("127.0.0.1:0", shards, func(int) netsim.CoordinatorNode {
+	srv, err := Listen("127.0.0.1:0", shards, func(int) wire.Node {
 		return core.NewInfiniteCoordinator(s)
 	})
 	if err != nil {
@@ -89,13 +89,13 @@ func TestMergedSampleMatchesReference(t *testing.T) {
 
 	for _, shards := range []int{1, 2, 4, 8} {
 		for _, opts := range []wire.Options{
-			{Codec: wire.CodecJSON},
-			{Codec: wire.CodecBinary, BatchSize: 16},
+			{},
+			{BatchSize: 16},
 			// Pipelined ingest: batches stream with a credit window and the
 			// shard fan-out on Flush/Close runs concurrently; the merged
 			// sample must stay byte-identical to the reference.
-			{Codec: wire.CodecBinary, BatchSize: 16, Window: 4},
-			{Codec: wire.CodecJSON, BatchSize: 8, Window: 2},
+			{BatchSize: 16, Window: 4},
+			{BatchSize: 8, Window: 2},
 		} {
 			srv := ingest(t, shards, k, s, hasher, arrivals, opts)
 			merged := srv.MergedSample(s)
@@ -104,11 +104,11 @@ func TestMergedSampleMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, want) {
-				t.Fatalf("shards=%d codec=%s batch=%d window=%d: merged sample differs from reference\n got: %s\nwant: %s",
-					shards, opts.Codec, opts.BatchSize, opts.Window, got, want)
+				t.Fatalf("shards=%d batch=%d window=%d: merged sample differs from reference\n got: %s\nwant: %s",
+					shards, opts.BatchSize, opts.Window, got, want)
 			}
 			// The remote merged query returns the identical sample.
-			queried, err := Query(srv.Addrs(), s, opts.Codec)
+			queried, err := Query(srv.Addrs(), s)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -117,7 +117,7 @@ func TestMergedSampleMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, want) {
-				t.Fatalf("shards=%d codec=%s: queried merged sample differs from reference", shards, opts.Codec)
+				t.Fatalf("shards=%d batch=%d window=%d: queried merged sample differs from reference", shards, opts.BatchSize, opts.Window)
 			}
 		}
 	}
@@ -135,7 +135,7 @@ func TestMergedThresholdAndEstimate(t *testing.T) {
 	hasher := hashing.NewMurmur2(seed)
 	elements := dataset.Uniform(12000, 4000, seed).Generate()
 	arrivals := distribute.Apply(elements, distribute.NewRandom(k, seed))
-	srv := ingest(t, shards, k, s, hasher, arrivals, wire.Options{Codec: wire.CodecBinary, BatchSize: 32})
+	srv := ingest(t, shards, k, s, hasher, arrivals, wire.Options{BatchSize: 32})
 
 	oracle := core.NewReference(s, hasher)
 	oracle.ObserveAll(stream.Keys(elements))
@@ -295,7 +295,7 @@ func TestSlidingClusterWindowMinimum(t *testing.T) {
 	stream.SortArrivals(arrivals)
 	maxSlot := arrivals[len(arrivals)-1].Slot
 
-	srv, err := Listen("127.0.0.1:0", shards, func(int) netsim.CoordinatorNode {
+	srv, err := Listen("127.0.0.1:0", shards, func(int) wire.Node {
 		return sliding.NewCoordinator()
 	})
 	if err != nil {
@@ -309,7 +309,7 @@ func TestSlidingClusterWindowMinimum(t *testing.T) {
 		id := site
 		clients[site], err = DialSites(srv.Addrs(), router, func(shard int) netsim.SiteNode {
 			return sliding.NewSite(id, hasher, window, uint64(id*shards+shard)+1)
-		}, wire.Options{Codec: wire.CodecBinary, BatchSize: 8, Window: 4})
+		}, wire.Options{BatchSize: 8, Window: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -332,7 +332,7 @@ func TestSlidingClusterWindowMinimum(t *testing.T) {
 		}
 	}
 
-	merged, err := Query(srv.Addrs(), 1, wire.CodecBinary)
+	merged, err := Query(srv.Addrs(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +358,6 @@ func TestRunIngestBench(t *testing.T) {
 	cfg.Shards = 2
 	cfg.Elements = 4000
 	cfg.Distinct = 1000
-	cfg.Codec = wire.CodecBinary
 	cfg.Batch = 32
 	res, err := RunIngestBench(cfg)
 	if err != nil {
@@ -383,7 +382,6 @@ func TestRunIngestBenchPipelinedFlood(t *testing.T) {
 	cfg.Shards = 2
 	cfg.Elements = 4000
 	cfg.Distinct = 1000
-	cfg.Codec = wire.CodecBinary
 	cfg.Batch = 32
 	cfg.Window = 4
 	cfg.Flood = true

@@ -23,14 +23,13 @@ import (
 // the whole cluster from disk — with the proof that the restored merged
 // sample still matches the centralized reference exactly.
 type DurabilityBenchResult struct {
-	Shards     int    `json:"shards"`
-	Sites      int    `json:"sites"`
-	Replicas   int    `json:"replicas"`
-	SampleSize int    `json:"sample_size"`
-	Codec      string `json:"codec"`
-	Batch      int    `json:"batch"`
-	Window     int    `json:"window"`
-	Elements   int    `json:"elements"`
+	Shards     int `json:"shards"`
+	Sites      int `json:"sites"`
+	Replicas   int `json:"replicas"`
+	SampleSize int `json:"sample_size"`
+	Batch      int `json:"batch"`
+	Window     int `json:"window"`
+	Elements   int `json:"elements"`
 	// SpoolIntervalMillis is the background snapshot cadence the "on" run
 	// ingested under.
 	SpoolIntervalMillis float64 `json:"spool_interval_ms"`
@@ -81,11 +80,11 @@ func RunDurabilityBench(cfg BenchConfig, replicas int, syncInterval, spoolInterv
 	oracle := core.NewReference(cfg.SampleSize, hasher)
 	oracle.ObserveAll(stream.Keys(elements))
 
-	newCoord := func(int, int) netsim.CoordinatorNode {
+	newCoord := func(int, int) wire.Node {
 		return core.NewInfiniteCoordinator(cfg.SampleSize)
 	}
 	table := UniformTable(cfg.Shards)
-	wopts := wire.Options{Codec: cfg.Codec, BatchSize: cfg.Batch, Window: cfg.Window}
+	wopts := wire.Options{BatchSize: cfg.Batch, Window: cfg.Window}
 
 	// ingestAll replays the whole stream through fresh site clients against
 	// srv and returns the wall-clock spent.
@@ -147,7 +146,7 @@ func RunDurabilityBench(cfg BenchConfig, replicas int, syncInterval, spoolInterv
 
 	// Baseline: the identical cluster with no spool armed.
 	offSrv, err := replica.Listen("127.0.0.1:0", cfg.Shards, replica.Options{
-		Replicas: replicas, SyncInterval: syncInterval, Codec: cfg.Codec,
+		Replicas: replicas, SyncInterval: syncInterval,
 	}, newCoord)
 	if err != nil {
 		return nil, err
@@ -170,7 +169,7 @@ func RunDurabilityBench(cfg BenchConfig, replicas int, syncInterval, spoolInterv
 	}
 	before := obs.Default().Snapshot()
 	onSrv, err := replica.Listen("127.0.0.1:0", cfg.Shards, replica.Options{
-		Replicas: replicas, SyncInterval: syncInterval, Codec: cfg.Codec,
+		Replicas: replicas, SyncInterval: syncInterval,
 		Spool: sp, SpoolInterval: spoolInterval,
 	}, newCoord)
 	if err != nil {
@@ -208,7 +207,7 @@ func RunDurabilityBench(cfg BenchConfig, replicas int, syncInterval, spoolInterv
 		return nil, err
 	}
 	srv2, rtable, restored, err := RestoreServer("127.0.0.1:0", sp2, cfg.Shards, replica.Options{
-		Replicas: replicas, SyncInterval: syncInterval, Codec: cfg.Codec, SpoolInterval: spoolInterval,
+		Replicas: replicas, SyncInterval: syncInterval, SpoolInterval: spoolInterval,
 	}, newCoord)
 	if err != nil {
 		return nil, err
@@ -224,8 +223,8 @@ func RunDurabilityBench(cfg BenchConfig, replicas int, syncInterval, spoolInterv
 	}
 	merged := Merge(cfg.SampleSize, shardSamples...)
 	if !oracle.SameSample(merged) {
-		return nil, fmt.Errorf("cluster: restored merged sample diverged from the centralized reference (shards=%d replicas=%d codec=%s)",
-			cfg.Shards, replicas, cfg.Codec)
+		return nil, fmt.Errorf("cluster: restored merged sample diverged from the centralized reference (shards=%d replicas=%d)",
+			cfg.Shards, replicas)
 	}
 
 	offOps := float64(len(arrivals)) / offDur.Seconds()
@@ -235,7 +234,6 @@ func RunDurabilityBench(cfg BenchConfig, replicas int, syncInterval, spoolInterv
 		Sites:               cfg.Sites,
 		Replicas:            replicas,
 		SampleSize:          cfg.SampleSize,
-		Codec:               cfg.Codec.String(),
 		Batch:               cfg.Batch,
 		Window:              cfg.Window,
 		Elements:            len(arrivals),

@@ -25,7 +25,7 @@ import (
 // {1, 2, 4} shards, under both synchronous and pipelined ingest.
 //
 // The kill lands at the stream's midpoint after a quiesce (flush + forced
-// state-sync): the paper's analysis makes replication exact only up to the
+// sync round): the paper's analysis makes replication exact only up to the
 // bounded resync window — offers the dead primary acknowledged after its
 // last sync are unrecoverable — so the test accounts for that window by
 // closing it before pulling the trigger. Everything after the kill exercises
@@ -55,15 +55,14 @@ func TestClusterFailoverMatchesReference(t *testing.T) {
 
 	for _, shards := range []int{1, 2, 4} {
 		for _, opts := range []wire.Options{
-			{Codec: wire.CodecBinary, BatchSize: 16},            // synchronous batched
-			{Codec: wire.CodecBinary, BatchSize: 16, Window: 4}, // pipelined
+			{BatchSize: 16},            // synchronous batched
+			{BatchSize: 16, Window: 4}, // pipelined
 		} {
 			name := fmt.Sprintf("shards=%d window=%d", shards, opts.Window)
 			srv, err := replica.Listen("127.0.0.1:0", shards, replica.Options{
 				Replicas:     1,
 				SyncInterval: 20 * time.Millisecond,
-				Codec:        wire.CodecBinary,
-			}, func(int, int) netsim.CoordinatorNode {
+			}, func(int, int) wire.Node {
 				return core.NewInfiniteCoordinator(s)
 			})
 			if err != nil {
@@ -168,7 +167,7 @@ func TestClusterFailoverMatchesReference(t *testing.T) {
 				t.Fatalf("%s: merged sample after failover differs from reference\n got: %s\nwant: %s", name, got, want)
 			}
 			// The remote group query agrees.
-			queried, err := QueryGroups(groups, s, wire.CodecBinary)
+			queried, err := QueryGroups(groups, s)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -201,8 +200,7 @@ func TestFailoverReplaysUnackedWindow(t *testing.T) {
 	srv, err := replica.Listen("127.0.0.1:0", 1, replica.Options{
 		Replicas:     1,
 		SyncInterval: time.Hour, // only explicit syncs: the replica starts cold
-		Codec:        wire.CodecBinary,
-	}, func(int, int) netsim.CoordinatorNode {
+	}, func(int, int) wire.Node {
 		return core.NewInfiniteCoordinator(s)
 	})
 	if err != nil {
@@ -213,7 +211,7 @@ func TestFailoverReplaysUnackedWindow(t *testing.T) {
 	router := NewShardRouter(1, hasher)
 	client, err := DialGroups(srv.GroupAddrs(), router, func(int) netsim.SiteNode {
 		return core.NewInfiniteSite(0, hasher)
-	}, wire.Options{Codec: wire.CodecBinary, BatchSize: 8, Window: 8})
+	}, wire.Options{BatchSize: 8, Window: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,8 +274,7 @@ func TestReconnectToHealthyPrimary(t *testing.T) {
 	srv, err := replica.Listen("127.0.0.1:0", 1, replica.Options{
 		Replicas:     1,
 		SyncInterval: time.Hour,
-		Codec:        wire.CodecBinary,
-	}, func(int, int) netsim.CoordinatorNode {
+	}, func(int, int) wire.Node {
 		return core.NewInfiniteCoordinator(s)
 	})
 	if err != nil {
@@ -287,7 +284,7 @@ func TestReconnectToHealthyPrimary(t *testing.T) {
 
 	client, err := DialGroups(srv.GroupAddrs(), NewShardRouter(1, hasher), func(int) netsim.SiteNode {
 		return core.NewInfiniteSite(0, hasher)
-	}, wire.Options{Codec: wire.CodecBinary, BatchSize: 8, Window: 4})
+	}, wire.Options{BatchSize: 8, Window: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,8 +333,7 @@ func TestDialGroupsJoinsMidOutage(t *testing.T) {
 	srv, err := replica.Listen("127.0.0.1:0", 1, replica.Options{
 		Replicas:     1,
 		SyncInterval: time.Hour,
-		Codec:        wire.CodecBinary,
-	}, func(int, int) netsim.CoordinatorNode {
+	}, func(int, int) wire.Node {
 		return core.NewInfiniteCoordinator(s)
 	})
 	if err != nil {
@@ -350,7 +346,7 @@ func TestDialGroupsJoinsMidOutage(t *testing.T) {
 
 	client, err := DialGroups(srv.GroupAddrs(), NewShardRouter(1, hasher), func(int) netsim.SiteNode {
 		return core.NewInfiniteSite(0, hasher)
-	}, wire.Options{Codec: wire.CodecBinary, BatchSize: 4})
+	}, wire.Options{BatchSize: 4})
 	if err != nil {
 		t.Fatalf("joining a group mid-outage failed: %v", err)
 	}
@@ -385,7 +381,6 @@ func TestRunFailoverBench(t *testing.T) {
 	cfg.Shards = 2
 	cfg.Elements = 4000
 	cfg.Distinct = 1000
-	cfg.Codec = wire.CodecBinary
 	cfg.Batch = 16
 	cfg.Window = 4
 	res, err := RunFailoverBench(cfg, 1, 20*time.Millisecond)

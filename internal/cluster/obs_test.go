@@ -28,9 +28,8 @@ func TestChaosEventTrail(t *testing.T) {
 	srv, err := replica.Listen("127.0.0.1:0", 1, replica.Options{
 		Replicas:     1,
 		SyncInterval: 10 * time.Millisecond,
-		Codec:        wire.CodecBinary,
 		RouteHash:    router.RouteHash,
-	}, func(int, int) netsim.CoordinatorNode {
+	}, func(int, int) wire.Node {
 		return core.NewInfiniteCoordinator(s)
 	})
 	if err != nil {
@@ -38,10 +37,10 @@ func TestChaosEventTrail(t *testing.T) {
 	}
 	defer srv.Close()
 
-	rs := NewResharder(srv, router.Table(), wire.CodecBinary)
+	rs := NewResharder(srv, router.Table())
 	client, err := DialGroups(srv.GroupAddrs(), router, func(int) netsim.SiteNode {
 		return core.NewInfiniteSite(0, hasher)
-	}, wire.Options{Codec: wire.CodecBinary, BatchSize: 8})
+	}, wire.Options{BatchSize: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,22 +89,20 @@ func TestPartitionChaosSelfHeals(t *testing.T) {
 		Replicas:     1,
 		SyncInterval: syncIv,
 		Lease:        lease,
-		Codec:        wire.CodecBinary,
 		RouteHash:    router.RouteHash,
 		SyncWrap:     inj.Wrap,
-	}, func(int, int) netsim.CoordinatorNode {
+	}, func(int, int) wire.Node {
 		return core.NewInfiniteCoordinator(s)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	rs := NewResharder(srv, router.Table(), wire.CodecBinary)
+	rs := NewResharder(srv, router.Table())
 
 	// The retry budget must outlast the scripted partition: ~12 backoffs
 	// from 2ms sum past a second, the outage lasts ~a quarter of that.
 	clientOpts := wire.Options{
-		Codec:     wire.CodecBinary,
 		BatchSize: 16,
 		RetryMax:  12,
 		RetryBase: 2 * time.Millisecond,

@@ -64,11 +64,10 @@ func TestPowerLossChaosRestores(t *testing.T) {
 	if err := sp.WriteManifest(TableManifest(table, s, 0, seed)); err != nil {
 		t.Fatal(err)
 	}
-	newCoord := func(int, int) netsim.CoordinatorNode { return core.NewInfiniteCoordinator(s) }
+	newCoord := func(int, int) wire.Node { return core.NewInfiniteCoordinator(s) }
 	srv, err := replica.Listen("127.0.0.1:0", shards, replica.Options{
 		Replicas:      1,
 		SyncInterval:  20 * time.Millisecond,
-		Codec:         wire.CodecBinary,
 		Spool:         sp,
 		SpoolInterval: time.Hour, // barriers are explicit below; no timer races
 	}, newCoord)
@@ -79,7 +78,7 @@ func TestPowerLossChaosRestores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wopts := wire.Options{Codec: wire.CodecBinary, BatchSize: 16, Window: 4}
+	wopts := wire.Options{BatchSize: 16, Window: 4}
 	dial := func(groups [][]string, rt *ShardRouter) []*SiteClient {
 		t.Helper()
 		clients := make([]*SiteClient, k)
@@ -162,7 +161,6 @@ func TestPowerLossChaosRestores(t *testing.T) {
 	srv2, table2, restored, err := RestoreServer("127.0.0.1:0", sp2, shards, replica.Options{
 		Replicas:      1,
 		SyncInterval:  20 * time.Millisecond,
-		Codec:         wire.CodecBinary,
 		SpoolInterval: time.Hour,
 	}, newCoord)
 	if err != nil {
@@ -237,8 +235,8 @@ func TestRestoreEmptyDataDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, table, restored, err := RestoreServer("127.0.0.1:0", sp, 2, replica.Options{
-		Replicas: 1, SyncInterval: 20 * time.Millisecond, Codec: wire.CodecBinary, SpoolInterval: time.Hour,
-	}, func(int, int) netsim.CoordinatorNode { return core.NewInfiniteCoordinator(s) })
+		Replicas: 1, SyncInterval: 20 * time.Millisecond, SpoolInterval: time.Hour,
+	}, func(int, int) wire.Node { return core.NewInfiniteCoordinator(s) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +247,7 @@ func TestRestoreEmptyDataDir(t *testing.T) {
 	if len(table.Slots) != 2 || table.Version != UniformTable(2).Version {
 		t.Fatalf("cold boot adopted table %+v, want uniform over 2 shards", table)
 	}
-	sample, err := QueryGroups(srv.GroupAddrs(), s, wire.CodecBinary)
+	sample, err := QueryGroups(srv.GroupAddrs(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,8 +283,8 @@ func TestRestorePartialSpoolStartsMissingSlotsCold(t *testing.T) {
 	}
 	spoolTestSnapshot(t, sp, 0, s, table.Version, "warm-key")
 	srv, table2, restored, err := RestoreServer("127.0.0.1:0", sp, 2, replica.Options{
-		Replicas: 1, SyncInterval: 20 * time.Millisecond, Codec: wire.CodecBinary, SpoolInterval: time.Hour,
-	}, func(int, int) netsim.CoordinatorNode { return core.NewInfiniteCoordinator(s) })
+		Replicas: 1, SyncInterval: 20 * time.Millisecond, SpoolInterval: time.Hour,
+	}, func(int, int) wire.Node { return core.NewInfiniteCoordinator(s) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +298,7 @@ func TestRestorePartialSpoolStartsMissingSlotsCold(t *testing.T) {
 	if table2.Version != table.Version {
 		t.Fatalf("adopted version %d, want %d", table2.Version, table.Version)
 	}
-	sample, err := QueryGroups(srv.GroupAddrs(), s, wire.CodecBinary)
+	sample, err := QueryGroups(srv.GroupAddrs(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,8 +325,8 @@ func TestRestoreStaleSnapshotOutsideTableIsSkipped(t *testing.T) {
 	spoolTestSnapshot(t, sp, 0, s, table.Version, "live-key")
 	spoolTestSnapshot(t, sp, 1, s, 6, "retired-key") // pre-merge leftover
 	srv, table2, restored, err := RestoreServer("127.0.0.1:0", sp, 4, replica.Options{
-		Replicas: 1, SyncInterval: 20 * time.Millisecond, Codec: wire.CodecBinary, SpoolInterval: time.Hour,
-	}, func(int, int) netsim.CoordinatorNode { return core.NewInfiniteCoordinator(s) })
+		Replicas: 1, SyncInterval: 20 * time.Millisecond, SpoolInterval: time.Hour,
+	}, func(int, int) wire.Node { return core.NewInfiniteCoordinator(s) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +340,7 @@ func TestRestoreStaleSnapshotOutsideTableIsSkipped(t *testing.T) {
 	if _, ok := restored[0]; !ok || len(restored) != 1 {
 		t.Fatalf("restored = %v, want exactly slot 0", restored)
 	}
-	sample, err := QueryGroups(srv.GroupAddrs(), s, wire.CodecBinary)
+	sample, err := QueryGroups(srv.GroupAddrs(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +357,6 @@ func TestRunDurabilityBench(t *testing.T) {
 	cfg.Shards = 2
 	cfg.Elements = 4000
 	cfg.Distinct = 1000
-	cfg.Codec = wire.CodecBinary
 	cfg.Batch = 16
 	cfg.Window = 4
 	res, err := RunDurabilityBench(cfg, 1, 20*time.Millisecond, 10*time.Millisecond, t.TempDir())
@@ -397,14 +394,14 @@ func TestReshardDurabilityBarrier(t *testing.T) {
 	hasher := hashing.NewMurmur2(1)
 	router := NewShardRouter(1, hasher)
 	srv, err := replica.Listen("127.0.0.1:0", 1, replica.Options{
-		Replicas: 1, SyncInterval: 20 * time.Millisecond, Codec: wire.CodecBinary,
+		Replicas: 1, SyncInterval: 20 * time.Millisecond,
 		RouteHash: router.RouteHash, Spool: sp, SpoolInterval: time.Hour,
-	}, func(int, int) netsim.CoordinatorNode { return core.NewInfiniteCoordinator(s) })
+	}, func(int, int) wire.Node { return core.NewInfiniteCoordinator(s) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	rs := NewResharder(srv, router.Table(), wire.CodecBinary)
+	rs := NewResharder(srv, router.Table())
 	rs.SetSpool(sp, durable.Manifest{SampleSize: s, Seed: 1})
 
 	mid, err := rs.Table().SplitPoint(0, 0.5)

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
@@ -16,16 +15,17 @@ import (
 // Resharder drives online shard splits and merges against a running
 // replica.Server-backed cluster, without stopping ingest. It exploits the
 // same property replication does: a shard's entire protocol state is one
-// bottom-s sample frame, so a range of the key space can be handed from one
+// core.State, so a range of the key space can be handed from one
 // coordinator to another exactly, in one message, filtered by routing hash.
 //
 // A split of donor slot D at point mid runs in phases:
 //
 //  1. Bring up the new shard's replica group (a fresh slot) and assign it
 //     its range [mid, hi) at the next table version (a route-update frame).
-//  2. Warm it: snapshot D's sample and hand it over (a range-handoff frame);
-//     the receiver keeps only the entries hashing into its range, applied as
-//     offers. D keeps serving the whole old range throughout.
+//  2. Warm it: snapshot D's state and hand it over (a state-handoff frame);
+//     the receiver keeps only the entries hashing into its range, merged
+//     under its sampler kind's union semantics. D keeps serving the whole
+//     old range throughout.
 //  3. Cut over: publish the new table to every registered site client. Each
 //     applies it independently at its next operation boundary — drain the
 //     old connections (replaying any unacked window through the ordinary
@@ -52,8 +52,7 @@ import (
 // delivered it to its new owner. Query-time Merge unions the live shards'
 // sketches, so the union's bottom-s is unchanged by where entries live.
 type Resharder struct {
-	srv   *replica.Server
-	codec wire.Codec
+	srv *replica.Server
 
 	// WaitTimeout bounds how long a cutover waits for every registered site
 	// client to flip. Sites flip at operation boundaries, so an idle,
@@ -75,10 +74,9 @@ type Resharder struct {
 
 // NewResharder builds a driver over a running cluster. table must be the
 // table the cluster currently routes under (router.Table() of the router the
-// site clients were dialed with); codec is used for the driver's snapshot,
-// handoff, and route-update connections.
-func NewResharder(srv *replica.Server, table RangeTable, codec wire.Codec) *Resharder {
-	return &Resharder{srv: srv, codec: codec, table: table.clone(), WaitTimeout: 30 * time.Second}
+// site clients were dialed with).
+func NewResharder(srv *replica.Server, table RangeTable) *Resharder {
+	return &Resharder{srv: srv, table: table.clone(), WaitTimeout: 30 * time.Second}
 }
 
 // Register adds site clients whose routing the driver must flip during
@@ -178,7 +176,7 @@ func (r *Resharder) Split(slot int, mid uint64) (*ReshardReport, error) {
 	// Phase 1: the new shard learns its range and version before anything
 	// else, so the warm handoff below cannot be misfiltered or unfenced.
 	phaseStart := time.Now()
-	if _, err := wire.RouteUpdateAddr(members[0], next.Version, mid, hi, r.codec); err != nil {
+	if _, err := wire.RouteUpdateAddr(members[0], next.Version, mid, hi); err != nil {
 		_ = r.srv.RetireGroup(newSlot)
 		return nil, fmt.Errorf("cluster: split: assign range to new shard: %w", err)
 	}
@@ -286,46 +284,21 @@ func (r *Resharder) MergeAt(rangeIdx int) (*ReshardReport, error) {
 
 // handoff snapshots the donor slot's primary state and ships it, filtered to
 // [lo, hi), to the receiver slot's primary, returning how many entries the
-// frame carried. The snapshot is a full core.State (generic state-handoff
-// frame), so sliding-window shards — whose candidate store never fit in a
-// flat sample frame — hand ranges off exactly like infinite-window ones;
-// pre-snapshot coordinators fall back to the legacy flat-sample handoff.
-// Both endpoints are re-resolved per attempt so a primary killed mid-plan
-// fails over to its replica.
+// frame carried. The snapshot is a full core.State, so sliding-window shards
+// hand ranges off exactly like infinite-window ones. Both endpoints are
+// re-resolved per attempt so a primary killed mid-plan fails over to its
+// replica.
 func (r *Resharder) handoff(donor, receiver int, ver, lo, hi uint64) (int, error) {
 	var n, frameBytes int
 	err := r.withPrimary(donor, func(donorAddr string) error {
-		st, serr := wire.SnapshotAddr(donorAddr, r.codec)
-		if serr == nil {
-			n = core.StateEntryCount(st)
-			frameBytes = len(core.EncodeState(st))
-			return r.withPrimary(receiver, func(recvAddr string) error {
-				ackVer, err := wire.HandoffStateAddr(recvAddr, ver, lo, hi, st, r.codec)
-				if err != nil {
-					return err
-				}
-				if ackVer > ver {
-					return fmt.Errorf("cluster: handoff to slot %d at route version %d, plan is %d: %w", receiver, ackVer, ver, wire.ErrStaleRoute)
-				}
-				return nil
-			})
-		}
-		if !strings.Contains(serr.Error(), "does not support state snapshots") {
-			// A transient failure (dial, read, mid-plan kill), NOT a donor
-			// that predates the Snapshot API: surface it so withPrimary's
-			// retry re-resolves the primary instead of downgrading to a
-			// legacy path the receiver may reject.
-			return serr
-		}
-		// Legacy path: the donor predates the Snapshot API; its whole state
-		// is its flat sample.
-		entries, err := wire.QueryWith(donorAddr, r.codec)
+		st, err := wire.SnapshotAddr(donorAddr)
 		if err != nil {
 			return err
 		}
-		n = len(entries)
+		n = core.StateEntryCount(st)
+		frameBytes = len(core.EncodeState(st))
 		return r.withPrimary(receiver, func(recvAddr string) error {
-			ackVer, err := wire.HandoffAddr(recvAddr, ver, lo, hi, entries, r.codec)
+			ackVer, err := wire.HandoffStateAddr(recvAddr, ver, lo, hi, st)
 			if err != nil {
 				return err
 			}
@@ -361,7 +334,7 @@ func routePushFrame(t RangeTable, groups [][]string) *wire.Frame {
 // routeUpdate assigns slot its owned range [lo, hi) at the given version.
 func (r *Resharder) routeUpdate(slot int, ver, lo, hi uint64) error {
 	return r.withPrimary(slot, func(addr string) error {
-		ackVer, err := wire.RouteUpdateAddr(addr, ver, lo, hi, r.codec)
+		ackVer, err := wire.RouteUpdateAddr(addr, ver, lo, hi)
 		if err != nil {
 			return err
 		}

@@ -30,7 +30,7 @@ import (
 // chunk's ingest — sites flip their routing tables cooperatively at
 // operation boundaries while offers stream — which is the online claim under
 // test. The one kill runs between chunks after a quiesce (flush + forced
-// state-sync), matching the failover test's accounting of the bounded
+// sync round), matching the failover test's accounting of the bounded
 // resync window: replication is exact up to that window by design, and the
 // kill's job here is to prove resharding composes with failover, not to
 // re-measure the window.
@@ -60,8 +60,8 @@ func TestReshardChaosMatchesReference(t *testing.T) {
 
 	for _, shards := range []int{1, 2, 4} {
 		for _, opts := range []wire.Options{
-			{Codec: wire.CodecBinary, BatchSize: 16},            // synchronous batched
-			{Codec: wire.CodecBinary, BatchSize: 16, Window: 4}, // pipelined
+			{BatchSize: 16},            // synchronous batched
+			{BatchSize: 16, Window: 4}, // pipelined
 		} {
 			name := fmt.Sprintf("shards=%d window=%d", shards, opts.Window)
 			rng := rand.New(rand.NewSource(seed + int64(shards)*100 + int64(opts.Window)))
@@ -69,16 +69,15 @@ func TestReshardChaosMatchesReference(t *testing.T) {
 			srv, err := replica.Listen("127.0.0.1:0", shards, replica.Options{
 				Replicas:     1,
 				SyncInterval: 20 * time.Millisecond,
-				Codec:        wire.CodecBinary,
 				RouteHash:    router.RouteHash,
-			}, func(int, int) netsim.CoordinatorNode {
+			}, func(int, int) wire.Node {
 				return core.NewInfiniteCoordinator(s)
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 
-			rs := NewResharder(srv, router.Table(), wire.CodecBinary)
+			rs := NewResharder(srv, router.Table())
 			groups := srv.GroupAddrs()
 			clients := make([]*SiteClient, k)
 			for site := 0; site < k; site++ {
@@ -222,7 +221,7 @@ func TestReshardChaosMatchesReference(t *testing.T) {
 			}
 			// The remote query path agrees, across retired slots and all.
 			want, _ := json.Marshal(oracle.Sample())
-			queried, err := QueryGroups(srv.GroupAddrs(), s, wire.CodecBinary)
+			queried, err := QueryGroups(srv.GroupAddrs(), s)
 			if err != nil {
 				t.Fatalf("%s: query groups: %v", name, err)
 			}
@@ -294,7 +293,6 @@ func TestRunReshardBench(t *testing.T) {
 	cfg.Shards = 2
 	cfg.Elements = 6000
 	cfg.Distinct = 1500
-	cfg.Codec = wire.CodecBinary
 	cfg.Batch = 16
 	cfg.Window = 4
 	res, err := RunReshardBench(cfg, 1, 20*time.Millisecond)
@@ -329,9 +327,8 @@ func TestReshardSplitAndMergeExact(t *testing.T) {
 	srv, err := replica.Listen("127.0.0.1:0", 1, replica.Options{
 		Replicas:     1,
 		SyncInterval: 20 * time.Millisecond,
-		Codec:        wire.CodecBinary,
 		RouteHash:    router.RouteHash,
-	}, func(int, int) netsim.CoordinatorNode {
+	}, func(int, int) wire.Node {
 		return core.NewInfiniteCoordinator(s)
 	})
 	if err != nil {
@@ -341,11 +338,11 @@ func TestReshardSplitAndMergeExact(t *testing.T) {
 
 	client, err := DialGroups(srv.GroupAddrs(), router, func(int) netsim.SiteNode {
 		return core.NewInfiniteSite(0, hasher)
-	}, wire.Options{Codec: wire.CodecBinary, BatchSize: 8, Window: 4})
+	}, wire.Options{BatchSize: 8, Window: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs := NewResharder(srv, router.Table(), wire.CodecBinary)
+	rs := NewResharder(srv, router.Table())
 	rs.Register(client)
 
 	oracle := core.NewReference(s, hasher)
@@ -417,7 +414,7 @@ func TestReshardSplitAndMergeExact(t *testing.T) {
 	}
 	late, err := DialGroups(srv.GroupAddrs(), lateRouter, func(int) netsim.SiteNode {
 		return core.NewInfiniteSite(1, hasher)
-	}, wire.Options{Codec: wire.CodecBinary, BatchSize: 8})
+	}, wire.Options{BatchSize: 8})
 	if err != nil {
 		t.Fatalf("late join after split: %v", err)
 	}

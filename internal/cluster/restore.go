@@ -3,11 +3,10 @@ package cluster
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/durable"
-	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/replica"
+	"repro/internal/wire"
 )
 
 // Cold-start restore: rebuilding a cluster's shard topology and per-shard
@@ -55,7 +54,7 @@ func TableManifest(t RangeTable, sampleSize int, window int64, seed uint64) dura
 //
 // The returned table is the one the cluster now routes under; restored maps
 // each warmed slot to the snapshot it was restored from.
-func RestoreServer(listen string, sp *durable.Spool, defaultShards int, opts replica.Options, newCoord func(shard, member int) netsim.CoordinatorNode) (*replica.Server, RangeTable, map[int]durable.Restored, error) {
+func RestoreServer(listen string, sp *durable.Spool, defaultShards int, opts replica.Options, newCoord func(shard, member int) wire.Node) (*replica.Server, RangeTable, map[int]durable.Restored, error) {
 	restored, manifest, err := sp.Restore()
 	if err != nil {
 		return nil, RangeTable{}, nil, err
@@ -86,17 +85,13 @@ func RestoreServer(listen string, sp *durable.Spool, defaultShards int, opts rep
 		shards = defaultShards
 	}
 	opts.Spool = sp
-	warmed := func(shard, member int) netsim.CoordinatorNode {
+	warmed := func(shard, member int) wire.Node {
 		node := newCoord(shard, member)
 		snap, ok := restored[shard]
 		if !ok {
 			return node
 		}
-		sn, isSnap := node.(core.Snapshotter)
-		if !isSnap {
-			return node
-		}
-		if rerr := sn.Restore(snap.State); rerr != nil {
+		if rerr := node.Restore(snap.State); rerr != nil {
 			// Config drift (sample size, kind) between the spool and the new
 			// process: start this member cold rather than refuse to boot.
 			obs.Logger().Warn("durable restore: snapshot rejected by fresh node; starting cold",

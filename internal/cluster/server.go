@@ -27,7 +27,7 @@ type Server struct {
 
 // Listen starts shards coordinator servers. newCoord builds the protocol
 // coordinator for each shard (they must be independent instances).
-func Listen(addr string, shards int, newCoord func(shard int) netsim.CoordinatorNode) (*Server, error) {
+func Listen(addr string, shards int, newCoord func(shard int) wire.Node) (*Server, error) {
 	if shards < 1 {
 		return nil, ErrNoShards
 	}
@@ -129,7 +129,7 @@ func (s *Server) MergedSample(sampleSize int) []netsim.SampleEntry {
 // replayed to the new primary before ingest resumes. Offers are idempotent
 // refreshes of a bottom-s sketch, so replay can only restore lost state,
 // never corrupt it; what replay cannot restore is offers the dead primary
-// acknowledged after its last state-sync — the bounded resync window
+// acknowledged after its last state frame — the bounded resync window
 // documented in internal/replica.
 // The client also participates in online resharding: a Resharder publishes a
 // RouteUpdate (new range table + shard groups) via OfferRouteUpdate, and the
@@ -181,7 +181,8 @@ type RouteUpdate struct {
 }
 
 // shardConn is one shard's connection state. Only one goroutine touches a
-// given shardConn at a time (the caller, or its per-shard fanOut goroutine).
+// given shardConn at a time (the caller, or its per-shard fanOut goroutine),
+// and a fanOut goroutine touches no other shard's (see fanOut).
 type shardConn struct {
 	members []string // member addresses in promotion order
 	primary int      // index of the member currently believed primary
@@ -264,7 +265,7 @@ func DialGroups(groups [][]string, router *ShardRouter, newSite func(shard int) 
 func (c *SiteClient) dialShard(slot int, members []string) error {
 	sc := &shardConn{members: members, node: c.newSite(slot)}
 	if len(members) > 1 {
-		sc.primary = currentPrimary(members, c.opts.Codec)
+		sc.primary = currentPrimary(members)
 	}
 	c.shards[slot] = sc
 	client, err := wire.DialSiteOptions(sc.node, members[sc.primary], c.opts)
@@ -315,9 +316,9 @@ func cloneGroups(groups [][]string) [][]string {
 // to the primary's member index (the promotion scheme numbers epochs by
 // member index). Falls back to member 0 when nothing answers — the dial that
 // follows will surface the real error.
-func currentPrimary(members []string, codec wire.Codec) int {
+func currentPrimary(members []string) int {
 	for _, addr := range members {
-		epoch, err := wire.ProbeEpoch(addr, codec)
+		epoch, err := wire.ProbeEpoch(addr)
 		if err != nil {
 			continue
 		}
@@ -335,23 +336,33 @@ func currentPrimary(members []string, codec wire.Codec) int {
 // lease waits and reroutes are budgeted by the retry policy, so the loop
 // terminates.
 func (c *SiteClient) do(shard int, op func(*wire.SiteClient) error) error {
-	return c.doRetry(shard, op, c.retryMax())
+	return c.doRetry(shard, op, c.retryMax(), nil)
 }
+
+// errRerouted is doRetry's report, in a fanOut goroutine, that the shard was
+// fenced by a stale route: its connection is rebuilt and its refused offers
+// are in the caller's deferred buffer, waiting for fanOut to adopt the new
+// table and replay them to their owners.
+var errRerouted = errors.New("cluster: refused offers deferred for rerouting")
 
 // doRetry is do with an explicit stale-route budget. Three recovery paths:
 //
 //   - wire.ErrStaleRoute: the shard gave the key's range away in a reshard
-//     this client has not applied yet. Spend one budget unit healing —
-//     adopt the pushed table and replay the refused offers to their owners
-//     (healStaleRoute, which recurses through doRetry with the decremented
-//     budget) — so a client that never receives a newer table surfaces the
-//     typed error instead of NACK-looping forever.
+//     this client has not applied yet. Spend one budget unit healing:
+//     rebuild the shard's connection (detachStale), then adopt the pushed
+//     table and replay the refused offers to their owners (reroute, which
+//     recurses through doRetry with the decremented budget). A client that
+//     never receives a newer table thus surfaces the typed error instead of
+//     NACK-looping forever. With deferred non-nil — a fanOut goroutine,
+//     which must not touch other shards' connections — the refused offers
+//     go to *deferred and doRetry returns errRerouted; fanOut reroutes them
+//     on its own goroutine once every shard goroutine has returned.
 //   - wire.ErrLeaseLapsed: the primary is alive but fenced, so the liveness
 //     probe below cannot help; back off and retry until the lease renews,
 //     then force-promote (leaseWait).
 //   - anything else: the classic liveness path — probe, promote the next
 //     member, or re-dial a healthy primary once.
-func (c *SiteClient) doRetry(shard int, op func(*wire.SiteClient) error, staleBudget int) error {
+func (c *SiteClient) doRetry(shard int, op func(*wire.SiteClient) error, staleBudget int, deferred *[]wire.BatchEntry) error {
 	sc := c.shards[shard]
 	if sc == nil || sc.client == nil {
 		return fmt.Errorf("cluster: no connection for shard slot %d", shard)
@@ -370,7 +381,15 @@ func (c *SiteClient) doRetry(shard int, op func(*wire.SiteClient) error, staleBu
 			}
 			staleBudget--
 			retryObs("reroute", 0)
-			if herr := c.healStaleRoute(shard, staleBudget); herr != nil {
+			refused, herr := c.detachStale(shard)
+			if herr == nil && deferred != nil {
+				*deferred = append(*deferred, refused...)
+				return errRerouted
+			}
+			if herr == nil {
+				herr = c.reroute(refused, staleBudget)
+			}
+			if herr != nil {
 				return fmt.Errorf("cluster: shard %d: %w (reroute: %v)", shard, err, herr)
 			}
 			if sc = c.shards[shard]; sc == nil || sc.client == nil {
@@ -467,26 +486,32 @@ func (c *SiteClient) leaseWait(shard int, waits *int) error {
 	}
 }
 
-// healStaleRoute recovers from a strict-route fence: it rebuilds the shard's
-// connection around the SAME site node (the node's duplicate memo survives,
-// so re-running the caller's op refreshes instead of re-offering — a fresh
-// node would re-offer the moved key to the donor and be fenced again),
-// adopts the newest pushed table, and replays every offer the fenced primary
-// refused or never acknowledged to the slot that owns it under the new
-// table. budget bounds the recursion when a replayed batch is itself fenced.
-func (c *SiteClient) healStaleRoute(shard, budget int) error {
+// detachStale is the shard-local half of recovering from a strict-route
+// fence: it rebuilds the shard's connection around the SAME site node (the
+// node's duplicate memo survives, so re-running the caller's op refreshes
+// instead of re-offering — a fresh node would re-offer the moved key to the
+// donor and be fenced again) and returns every offer the fenced primary
+// refused or never acknowledged.
+func (c *SiteClient) detachStale(shard int) ([]wire.BatchEntry, error) {
 	sc := c.shards[shard]
-	var unacked []wire.BatchEntry
+	var refused []wire.BatchEntry
 	if sc.client != nil {
 		_ = sc.client.Close()
-		unacked = sc.client.Unacked()
+		refused = sc.client.Unacked()
 		sc.retiredSent += sc.client.MessagesSent()
 		sc.retiredReceived += sc.client.MessagesReceived()
 		sc.client = nil
 	}
-	if err := c.reconnect(shard); err != nil {
-		return err
-	}
+	return refused, c.reconnect(shard)
+}
+
+// reroute is the cross-shard half of recovering from a strict-route fence:
+// it adopts the newest pushed table and replays the refused offers to the
+// slot that owns each under it. It touches every shard's connection, so it
+// runs only on the client's owning goroutine, never inside a fanOut
+// goroutine. budget bounds the recursion when a replayed batch is itself
+// fenced.
+func (c *SiteClient) reroute(refused []wire.BatchEntry, budget int) error {
 	// The route-push rode the same connection as the NACK (pushes are written
 	// before the fence can fire), so the newer table is already in the
 	// mailbox by the time we get here.
@@ -494,13 +519,12 @@ func (c *SiteClient) healStaleRoute(shard, budget int) error {
 		return err
 	}
 	byOwner := make(map[int][]wire.BatchEntry)
-	for _, e := range unacked {
+	for _, e := range refused {
 		owner := c.table.Lookup(c.routeHash(e.Msg.Key))
 		byOwner[owner] = append(byOwner[owner], e)
 	}
 	for owner, entries := range byOwner {
-		entries := entries
-		err := c.doRetry(owner, func(client *wire.SiteClient) error { return client.Replay(entries) }, budget)
+		err := c.doRetry(owner, func(client *wire.SiteClient) error { return client.Replay(entries) }, budget, nil)
 		if err != nil {
 			return err
 		}
@@ -547,7 +571,7 @@ func (c *SiteClient) failover(shard int) error {
 	start := time.Now()
 	// Liveness check first: a protocol error from a healthy coordinator must
 	// surface (or trigger a plain reconnect, see do), not a promotion storm.
-	if _, err := wire.ProbeEpoch(sc.members[sc.primary], c.opts.Codec); err == nil {
+	if _, err := wire.ProbeEpoch(sc.members[sc.primary]); err == nil {
 		return errPrimaryHealthy
 	}
 	return c.promoteWalk(shard, start)
@@ -579,7 +603,7 @@ func (c *SiteClient) promoteWalk(shard int, start time.Time) error {
 	}
 	var lastErr error = errors.New("no members past the dead primary")
 	for j := sc.primary + 1; j < len(sc.members); j++ {
-		if _, err := wire.PromoteAddr(sc.members[j], uint64(j), c.opts.Codec); err != nil {
+		if _, err := wire.PromoteAddr(sc.members[j], uint64(j)); err != nil {
 			lastErr = err
 			continue // dead too; keep walking
 		}
@@ -861,6 +885,13 @@ func (c *SiteClient) Observe(key string, slot int64) error {
 // per-client single-caller contract; the win is that per-shard flushes and
 // window drains overlap instead of paying one coordinator round trip per
 // shard in sequence.
+//
+// A shard fenced by a stale route hands its refused offers back instead of
+// rerouting them itself: adopting the new table and replaying to the owners
+// touches other shards' connections, which their own goroutines may be using
+// at that moment. Once every goroutine has returned, fanOut reroutes the
+// refused offers on the calling goroutine and reruns op on the fenced shards,
+// spending one unit of the stale-route budget per round.
 func (c *SiteClient) fanOut(op func(*wire.SiteClient) error) error {
 	if len(c.shards) == 1 {
 		if c.shards[0] == nil || c.shards[0].client == nil {
@@ -868,22 +899,51 @@ func (c *SiteClient) fanOut(op func(*wire.SiteClient) error) error {
 		}
 		return c.do(0, op)
 	}
-	errs := make([]error, len(c.shards))
-	var wg sync.WaitGroup
+	var targets []int
 	for shard, sc := range c.shards {
-		if sc == nil || sc.client == nil {
-			continue
+		if sc != nil && sc.client != nil {
+			targets = append(targets, shard)
 		}
-		wg.Add(1)
-		go func(shard int) {
-			defer wg.Done()
-			errs[shard] = c.do(shard, op)
-		}(shard)
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+	budget := c.retryMax()
+	for len(targets) > 0 {
+		errs := make([]error, len(c.shards))
+		deferred := make([][]wire.BatchEntry, len(c.shards))
+		var wg sync.WaitGroup
+		for _, shard := range targets {
+			wg.Add(1)
+			go func(shard int) {
+				defer wg.Done()
+				errs[shard] = c.doRetry(shard, op, budget, &deferred[shard])
+			}(shard)
+		}
+		wg.Wait()
+		var refused []wire.BatchEntry
+		var fenced []int
+		for _, shard := range targets {
+			switch err := errs[shard]; {
+			case errors.Is(err, errRerouted):
+				refused = append(refused, deferred[shard]...)
+				fenced = append(fenced, shard)
+			case err != nil:
+				return err
+			}
+		}
+		if len(fenced) == 0 {
+			return nil
+		}
+		budget--
+		if err := c.reroute(refused, budget); err != nil {
+			return fmt.Errorf("cluster: shard %d: %w (reroute: %v)", fenced[0], wire.ErrStaleRoute, err)
+		}
+		// Rerun op where it was cut short, unless the adopted table retired
+		// the slot: its refused offers were just replayed to their new
+		// owners, which is everything op was shipping there.
+		targets = targets[:0]
+		for _, shard := range fenced {
+			if sc := c.shards[shard]; sc != nil && sc.client != nil {
+				targets = append(targets, shard)
+			}
 		}
 	}
 	return nil
@@ -960,7 +1020,7 @@ func (c *SiteClient) MessagesReceived() int {
 // Query fans a sample query out to every shard coordinator concurrently and
 // merges the per-shard samples into the exact global bottom-sampleSize
 // sample (sampleSize <= 0 keeps the whole union).
-func Query(addrs []string, sampleSize int, codec wire.Codec) ([]netsim.SampleEntry, error) {
+func Query(addrs []string, sampleSize int) ([]netsim.SampleEntry, error) {
 	if len(addrs) == 0 {
 		return nil, ErrNoShards
 	}
@@ -968,7 +1028,7 @@ func Query(addrs []string, sampleSize int, codec wire.Codec) ([]netsim.SampleEnt
 	for i, addr := range addrs {
 		groups[i] = []string{addr}
 	}
-	return QueryGroups(groups, sampleSize, codec)
+	return QueryGroups(groups, sampleSize)
 }
 
 // QueryGroups is Query over replica groups: for each shard it locates the
@@ -978,7 +1038,7 @@ func Query(addrs []string, sampleSize int, codec wire.Codec) ([]netsim.SampleEnt
 // bottom-sampleSize sample exactly as in Query. Nil or empty group entries
 // (slots retired by resharding) are skipped; at least one live group is
 // required.
-func QueryGroups(groups [][]string, sampleSize int, codec wire.Codec) ([]netsim.SampleEntry, error) {
+func QueryGroups(groups [][]string, sampleSize int) ([]netsim.SampleEntry, error) {
 	live := 0
 	for _, members := range groups {
 		if len(members) > 0 {
@@ -998,7 +1058,7 @@ func QueryGroups(groups [][]string, sampleSize int, codec wire.Codec) ([]netsim.
 		wg.Add(1)
 		go func(i int, members []string) {
 			defer wg.Done()
-			samples[i], errs[i] = queryGroup(members, codec)
+			samples[i], errs[i] = queryGroup(members)
 		}(i, members)
 	}
 	wg.Wait()
@@ -1019,10 +1079,10 @@ func QueryGroups(groups [][]string, sampleSize int, codec wire.Codec) ([]netsim.
 // of the primary-resolution walk; queries, snapshots, and the dds package
 // all route through it so a change to the epoch-numbering scheme cannot
 // desynchronize callers.
-func WithGroupPrimary(members []string, codec wire.Codec, op func(addr string) error) error {
+func WithGroupPrimary(members []string, op func(addr string) error) error {
 	var lastErr error
 	for j, addr := range members {
-		epoch, err := wire.ProbeEpoch(addr, codec)
+		epoch, err := wire.ProbeEpoch(addr)
 		if err != nil {
 			lastErr = err
 			continue
@@ -1051,10 +1111,10 @@ func WithGroupPrimary(members []string, codec wire.Codec, op func(addr string) e
 }
 
 // queryGroup returns one shard's sample, preferring the current primary.
-func queryGroup(members []string, codec wire.Codec) ([]netsim.SampleEntry, error) {
+func queryGroup(members []string) ([]netsim.SampleEntry, error) {
 	var sample []netsim.SampleEntry
-	err := WithGroupPrimary(members, codec, func(addr string) error {
-		s, err := wire.QueryWith(addr, codec)
+	err := WithGroupPrimary(members, func(addr string) error {
+		s, err := wire.Query(addr)
 		if err == nil {
 			sample = s
 		}
@@ -1071,7 +1131,7 @@ func queryGroup(members []string, codec wire.Codec) ([]netsim.SampleEntry, error
 // expired) reports an expired minimum that hides still-live higher-hash
 // candidates, and only the snapshot's candidate store makes the query exact
 // in that case.
-func QueryWindowGroups(groups [][]string, now int64, codec wire.Codec) ([]netsim.SampleEntry, error) {
+func QueryWindowGroups(groups [][]string, now int64) ([]netsim.SampleEntry, error) {
 	live := 0
 	for _, members := range groups {
 		if len(members) > 0 {
@@ -1091,8 +1151,8 @@ func QueryWindowGroups(groups [][]string, now int64, codec wire.Codec) ([]netsim
 		wg.Add(1)
 		go func(i int, members []string) {
 			defer wg.Done()
-			errs[i] = WithGroupPrimary(members, codec, func(addr string) error {
-				st, err := wire.SnapshotAddr(addr, codec)
+			errs[i] = WithGroupPrimary(members, func(addr string) error {
+				st, err := wire.SnapshotAddr(addr)
 				if err != nil {
 					return err
 				}

@@ -100,8 +100,8 @@ func TestSlidingChaosMatchesReference(t *testing.T) {
 
 	for _, shards := range []int{1, 2, 4} {
 		for _, opts := range []wire.Options{
-			{Codec: wire.CodecBinary, BatchSize: 8},            // synchronous batched
-			{Codec: wire.CodecBinary, BatchSize: 8, Window: 4}, // pipelined
+			{BatchSize: 8},            // synchronous batched
+			{BatchSize: 8, Window: 4}, // pipelined
 		} {
 			name := fmt.Sprintf("shards=%d window=%d", shards, opts.Window)
 			rng := rand.New(rand.NewSource(seed + int64(shards)*100 + int64(opts.Window)))
@@ -109,16 +109,15 @@ func TestSlidingChaosMatchesReference(t *testing.T) {
 			srv, err := replica.Listen("127.0.0.1:0", shards, replica.Options{
 				Replicas:     1,
 				SyncInterval: 20 * time.Millisecond,
-				Codec:        wire.CodecBinary,
 				RouteHash:    router.RouteHash,
-			}, func(shard, member int) netsim.CoordinatorNode {
+			}, func(shard, member int) wire.Node {
 				return sliding.NewCoordinator()
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 
-			rs := NewResharder(srv, router.Table(), wire.CodecBinary)
+			rs := NewResharder(srv, router.Table())
 			groups := srv.GroupAddrs()
 			clients := make([]*SiteClient, k)
 			for site := 0; site < k; site++ {
@@ -267,7 +266,7 @@ func TestSlidingChaosMatchesReference(t *testing.T) {
 			}
 			// The remote query path agrees, across retired slots and all.
 			if want, haveWant := trueWindowEntry(maxSlot); haveWant {
-				queried, err := QueryGroups(srv.GroupAddrs(), 0, wire.CodecBinary)
+				queried, err := QueryGroups(srv.GroupAddrs(), 0)
 				if err != nil {
 					t.Fatalf("%s: query groups: %v", name, err)
 				}

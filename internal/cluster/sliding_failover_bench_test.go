@@ -3,8 +3,6 @@ package cluster
 import (
 	"testing"
 	"time"
-
-	"repro/internal/wire"
 )
 
 // TestRunSlidingFailoverBench smoke-tests the sliding-window failover
@@ -15,7 +13,6 @@ func TestRunSlidingFailoverBench(t *testing.T) {
 	cfg.Shards = 2
 	cfg.Elements = 5000
 	cfg.Distinct = 1000
-	cfg.Codec = wire.CodecBinary
 	cfg.Batch = 8
 	cfg.Window = 4
 	res, err := RunSlidingFailoverBench(cfg, 50, 1, 20*time.Millisecond)

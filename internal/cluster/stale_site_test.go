@@ -39,21 +39,20 @@ func TestStaleSiteStrayKeysAcrossReshards(t *testing.T) {
 	srv, err := replica.Listen("127.0.0.1:0", 1, replica.Options{
 		Replicas:     1,
 		SyncInterval: 20 * time.Millisecond,
-		Codec:        wire.CodecBinary,
 		RouteHash:    router.RouteHash,
-	}, func(int, int) netsim.CoordinatorNode {
+	}, func(int, int) wire.Node {
 		return core.NewInfiniteCoordinator(s)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	rs := NewResharder(srv, router.Table(), wire.CodecBinary)
+	rs := NewResharder(srv, router.Table())
 
 	// The registered (in-process, flip-aware) client.
 	registered, err := DialGroups(srv.GroupAddrs(), router, func(int) netsim.SiteNode {
 		return core.NewInfiniteSite(0, hasher)
-	}, wire.Options{Codec: wire.CodecBinary, BatchSize: 8})
+	}, wire.Options{BatchSize: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +63,7 @@ func TestStaleSiteStrayKeysAcrossReshards(t *testing.T) {
 	// another process that nobody restarted.
 	stale, err := DialGroups(srv.GroupAddrs(), router, func(int) netsim.SiteNode {
 		return core.NewInfiniteSite(1, hasher)
-	}, wire.Options{Codec: wire.CodecBinary})
+	}, wire.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -328,20 +328,18 @@ func TestWatcherAutopilotSplitsHotShardNoHands(t *testing.T) {
 	srv, err := replica.Listen("127.0.0.1:0", shards, replica.Options{
 		Replicas:     1,
 		SyncInterval: syncIv,
-		Codec:        wire.CodecBinary,
 		RouteHash:    router.RouteHash,
-	}, func(int, int) netsim.CoordinatorNode {
+	}, func(int, int) wire.Node {
 		return core.NewInfiniteCoordinator(s)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	rs := NewResharder(srv, router.Table(), wire.CodecBinary)
+	rs := NewResharder(srv, router.Table())
 	initialVersion := rs.Table().Version
 
 	clientOpts := wire.Options{
-		Codec:     wire.CodecBinary,
 		BatchSize: 16,
 		RetryMax:  12,
 		RetryBase: 2 * time.Millisecond,

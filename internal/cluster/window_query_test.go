@@ -32,7 +32,7 @@ func TestQueryWindowGroupsIdleShardExact(t *testing.T) {
 
 	// The Sample-based path demonstrates the gap: the shard reports only
 	// the expired minimum, so the expiry filter finds nothing live.
-	samples, err := QueryGroups(groups, 0, wire.CodecBinary)
+	samples, err := QueryGroups(groups, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestQueryWindowGroupsIdleShardExact(t *testing.T) {
 	}
 
 	// The snapshot-based query is exact: B is live and surfaces.
-	got, err := QueryWindowGroups(groups, 15, wire.CodecBinary)
+	got, err := QueryWindowGroups(groups, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestQueryWindowGroupsIdleShardExact(t *testing.T) {
 		t.Fatalf("QueryWindowGroups at slot 15 = %v, want the live candidate B", got)
 	}
 	// And at slot 14 both candidates are live; A is the true minimum.
-	got, err = QueryWindowGroups(groups, 14, wire.CodecBinary)
+	got, err = QueryWindowGroups(groups, 14)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestQueryWindowGroupsIdleShardExact(t *testing.T) {
 		t.Fatalf("QueryWindowGroups at slot 14 = %v, want A", got)
 	}
 	// Past every expiry the window is empty.
-	if got, err := QueryWindowGroups(groups, 16, wire.CodecBinary); err != nil || len(got) != 0 {
+	if got, err := QueryWindowGroups(groups, 16); err != nil || len(got) != 0 {
 		t.Fatalf("QueryWindowGroups at slot 16 = %v, %v; want empty window", got, err)
 	}
 }

@@ -14,13 +14,13 @@ import (
 // Threshold, Snapshot, Restore), and its entire protocol state round-trips
 // through one versioned, self-describing State value.
 //
-// The State is the system's replication, handoff, and persistence currency:
-// a replica that Restores a primary's Snapshot is byte-identical to it at
-// capture time; a reshard handoff ships a filtered Snapshot; a backup is a
-// Snapshot written to disk. Before this API, only the flat bottom-s sample
-// could be captured (netsim.Restorable), which is why the sliding-window
-// coordinator — whose state includes a treap-backed candidate store and a
-// slot clock — had neither replication nor reshard support.
+// The State is the system's only replication, handoff, and persistence
+// currency: a replica that Restores a primary's Snapshot is byte-identical
+// to it at capture time; a reshard handoff ships a filtered Snapshot; a
+// backup or spooled snapshot is a Snapshot written to disk. The wire
+// transport carries it in one frame layout for every sampler kind, the
+// sliding-window coordinator's treap-backed candidate store and slot clock
+// included, and serves only nodes that implement Snapshotter.
 
 // StateVersion is the current snapshot format version. Encoded states carry
 // it; DecodeState rejects versions it does not know, exactly like the wire

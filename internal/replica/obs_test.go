@@ -6,36 +6,16 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/hashing"
-	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/sliding"
 	"repro/internal/wire"
 )
 
-// TestAddGroupNotSnapshottableTyped pins the typed sentinel at the replica
-// attach seam: a coordinator node with neither the Snapshot/Restore API nor
-// the legacy restore seam is rejected with an error wrapping
-// wire.ErrNotSnapshottable, so callers can branch on the capability instead
-// of matching error text.
-func TestAddGroupNotSnapshottableTyped(t *testing.T) {
-	_, err := Listen("127.0.0.1:0", 1, Options{Replicas: 1}, func(int, int) netsim.CoordinatorNode {
-		return core.NewBroadcastCoordinator(1)
-	})
-	if err == nil {
-		t.Fatal("Listen should reject non-snapshottable coordinators when replicas are enabled")
-	}
-	if !errors.Is(err, wire.ErrNotSnapshottable) {
-		t.Fatalf("err = %v, want errors.Is(err, wire.ErrNotSnapshottable)", err)
-	}
-}
-
-// TestAddGroupMultiCoordinatorSnapshottable asserts the fix for the
-// carried-forward gap the sentinel above used to cover: the per-copy
-// sliding-window coordinator now implements Snapshot/Restore (section-level
-// slot clocks), so a replicated group of them attaches and syncs cleanly.
-// (The replica AddGroup path previously returned ErrNotSnapshottable here.)
+// TestAddGroupMultiCoordinatorSnapshottable asserts that the per-copy
+// sliding-window coordinator implements Snapshot/Restore (section-level slot
+// clocks), so a replicated group of them attaches and syncs cleanly.
 func TestAddGroupMultiCoordinatorSnapshottable(t *testing.T) {
-	srv, err := Listen("127.0.0.1:0", 1, Options{Replicas: 1}, func(int, int) netsim.CoordinatorNode {
+	srv, err := Listen("127.0.0.1:0", 1, Options{Replicas: 1}, func(int, int) wire.Node {
 		return sliding.NewMultiCoordinator(3)
 	})
 	if err != nil {
@@ -58,7 +38,7 @@ func TestReplicaSyncInstruments(t *testing.T) {
 
 	srv := newGroupServer(t, 1, 1, 16)
 	site := core.NewInfiniteSite(0, hashing.NewMurmur2(7))
-	client, err := wire.DialSiteOptions(site, srv.GroupAddrs()[0][0], wire.Options{Codec: wire.CodecBinary, BatchSize: 8})
+	client, err := wire.DialSiteOptions(site, srv.GroupAddrs()[0][0], wire.Options{BatchSize: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +56,7 @@ func TestReplicaSyncInstruments(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := srv.groups[0]
-	if err := g.syncRound(Options{Codec: wire.CodecBinary}, false); err != nil { // idle: skipped
+	if err := g.syncRound(Options{}, false); err != nil { // idle: skipped
 		t.Fatal(err)
 	}
 	if err := srv.SyncNow(); err != nil { // second push: sets the lag gauge
@@ -91,8 +71,8 @@ func TestReplicaSyncInstruments(t *testing.T) {
 	if d := delta("dds_replica_sync_skipped_total"); d < 1 {
 		t.Fatalf("sync skipped delta = %d, want >= 1", d)
 	}
-	if delta("dds_replica_sync_bytes_total")+delta("dds_replica_sync_entries_total") == 0 {
-		t.Fatal("no sync payload counted (neither bytes nor entries)")
+	if delta("dds_replica_sync_bytes_total") == 0 {
+		t.Fatal("no sync payload bytes counted")
 	}
 	// The site filters locally (the paper's message-efficiency claim), so
 	// only a fraction of the n observes become offer messages — but some must.
@@ -125,10 +105,11 @@ func TestDeposedFenceInstrumented(t *testing.T) {
 	srv := newGroupServer(t, 1, 1, 8)
 	g := srv.groups[0]
 	m := g.memberList()[1]
-	if _, err := wire.PromoteAddr(m.addr, 2, wire.CodecBinary); err != nil {
+	if _, err := wire.PromoteAddr(m.addr, 2); err != nil {
 		t.Fatal(err)
 	}
-	err := g.push(m, Options{Codec: wire.CodecBinary}, obs.TraceContext{}, 0, 0, 1, nil, nil)
+	encoded := core.EncodeState(core.NewInfiniteCoordinator(8).Snapshot())
+	err := g.push(m, Options{}, obs.TraceContext{}, 0, 0, encoded)
 	if !errors.Is(err, wire.ErrDeposed) {
 		t.Fatalf("stale push err = %v, want errors.Is(err, wire.ErrDeposed)", err)
 	}

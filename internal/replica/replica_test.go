@@ -21,8 +21,7 @@ func newGroupServer(t *testing.T, shards, replicas, sampleSize int) *Server {
 	srv, err := Listen("127.0.0.1:0", shards, Options{
 		Replicas:     replicas,
 		SyncInterval: time.Hour, // ticker effectively off; tests call SyncNow
-		Codec:        wire.CodecBinary,
-	}, func(int, int) netsim.CoordinatorNode {
+	}, func(int, int) wire.Node {
 		return core.NewInfiniteCoordinator(sampleSize)
 	})
 	if err != nil {
@@ -53,7 +52,7 @@ func TestReplicaCatchesUpInOneFrame(t *testing.T) {
 
 	// Ingest a few thousand keys into the primary only.
 	site := core.NewInfiniteSite(0, hasher)
-	client, err := wire.DialSiteOptions(site, srv.GroupAddrs()[0][0], wire.Options{Codec: wire.CodecBinary, BatchSize: 16})
+	client, err := wire.DialSiteOptions(site, srv.GroupAddrs()[0][0], wire.Options{BatchSize: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,13 +84,13 @@ func TestReplicaCatchesUpInOneFrame(t *testing.T) {
 func TestSyncSkipsIdlePrimary(t *testing.T) {
 	srv := newGroupServer(t, 1, 1, 8)
 	g := srv.groups[0]
-	if err := g.syncRound(Options{Codec: wire.CodecBinary}, false); err != nil {
+	if err := g.syncRound(Options{}, false); err != nil {
 		t.Fatal(err)
 	}
 	seqAfterFirst := g.seq
 	// No ingest happened: further unforced rounds are skipped.
 	for i := 0; i < 3; i++ {
-		if err := g.syncRound(Options{Codec: wire.CodecBinary}, false); err != nil {
+		if err := g.syncRound(Options{}, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -114,7 +113,7 @@ func TestKillAndPromote(t *testing.T) {
 	addrs := srv.GroupAddrs()[0]
 
 	// Seed the primary with a little state and replicate it.
-	sc, err := wire.DialSync(addrs[0], wire.CodecBinary)
+	sc, err := wire.DialSync(addrs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,11 +127,11 @@ func TestKillAndPromote(t *testing.T) {
 		t.Fatalf("KillPrimary = (%d, %v)", killed, err)
 	}
 	// A dead member is dead: probes fail.
-	if _, err := wire.ProbeEpoch(addrs[0], wire.CodecBinary); err == nil {
+	if _, err := wire.ProbeEpoch(addrs[0]); err == nil {
 		t.Fatal("probe of the killed primary should fail")
 	}
 	// Deterministic promotion: next member, epoch = its index.
-	if epoch, err := wire.PromoteAddr(addrs[1], 1, wire.CodecBinary); err != nil || epoch != 1 {
+	if epoch, err := wire.PromoteAddr(addrs[1], 1); err != nil || epoch != 1 {
 		t.Fatalf("promote member 1 = (%d, %v)", epoch, err)
 	}
 	if got := srv.PrimaryIndex(0); got != 1 {
@@ -148,7 +147,7 @@ func TestKillAndPromote(t *testing.T) {
 	}
 	// Promotion is idempotent: a second site promoting the same member is a
 	// no-op, and the primary does not flap.
-	if epoch, err := wire.PromoteAddr(addrs[1], 1, wire.CodecBinary); err != nil || epoch != 1 {
+	if epoch, err := wire.PromoteAddr(addrs[1], 1); err != nil || epoch != 1 {
 		t.Fatalf("re-promote member 1 = (%d, %v)", epoch, err)
 	}
 	if got := srv.PrimaryIndex(0); got != 1 {
@@ -157,13 +156,13 @@ func TestKillAndPromote(t *testing.T) {
 }
 
 // TestListenRejectsNonRestorable checks that replica groups refuse
-// coordinator nodes that cannot apply a state-sync.
+// coordinator nodes that cannot apply a state frame. The refusal is by type:
+// Listen takes a wire.Node, which such nodes — the simulation-only broadcast
+// coordinator foremost — do not implement, so they cannot be passed at all.
 func TestListenRejectsNonRestorable(t *testing.T) {
-	_, err := Listen("127.0.0.1:0", 1, Options{Replicas: 1}, func(int, int) netsim.CoordinatorNode {
-		return core.NewBroadcastCoordinator(1)
-	})
-	if err == nil {
-		t.Fatal("Listen should reject non-restorable coordinators when replicas are enabled")
+	var node netsim.CoordinatorNode = core.NewBroadcastCoordinator(1)
+	if _, ok := node.(wire.Node); ok {
+		t.Fatal("the broadcast coordinator satisfies wire.Node; replica groups would accept a node that cannot restore state")
 	}
 }
 
@@ -192,11 +191,10 @@ func TestSyncNowRetriesTransientLosses(t *testing.T) {
 	srv, err := Listen("127.0.0.1:0", 1, Options{
 		Replicas:     1,
 		SyncInterval: time.Hour, // ticker effectively off; the test drives SyncNow
-		Codec:        wire.CodecBinary,
 		SyncWrap: func(c wire.FrameConn) wire.FrameConn {
 			return flakyConn{FrameConn: c, drops: &drops}
 		},
-	}, func(int, int) netsim.CoordinatorNode {
+	}, func(int, int) wire.Node {
 		return core.NewInfiniteCoordinator(8)
 	})
 	if err != nil {

@@ -319,9 +319,8 @@ func restoreStore(store *treap.WindowStore, st core.State) error {
 
 // Snapshot implements core.Sampler: the coordinator's whole protocol state —
 // the non-dominated offer store, the current candidate (e*, u*, t*), and the
-// slot clock — as one sliding-kind State. This is what finally makes the
-// sliding-window coordinator restorable: its candidate store never fit in a
-// flat sample frame.
+// slot clock — as one sliding-kind State, the form in which replication,
+// reshard handoffs and the snapshot spool carry it.
 func (c *Coordinator) Snapshot() core.State {
 	var cand *netsim.SampleEntry
 	if min, ok := c.offers.Min(); ok {

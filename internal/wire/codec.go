@@ -3,7 +3,6 @@ package wire
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -13,46 +12,8 @@ import (
 	"repro/internal/obs"
 )
 
-// Codec selects the wire encoding of a connection. Every connection starts
-// with a client-chosen preamble: JSON clients simply send their first frame
-// (which always begins with '{'), binary clients send the 4-byte magic
-// binMagic first. The server sniffs the first byte, so old JSON clients keep
-// working unchanged and the codec is negotiated without an extra round trip.
-type Codec int
-
-const (
-	// CodecJSON is the original newline-delimited JSON encoding: one JSON
-	// object per frame, human-readable, self-describing.
-	CodecJSON Codec = iota
-	// CodecBinary is the length-prefixed binary encoding: a uint32
-	// little-endian payload length followed by a compact tag-based payload.
-	// Combined with batched frames it amortizes syscalls and encoding over
-	// many offers and is the transport for high-throughput ingest.
-	CodecBinary
-)
-
-// String implements fmt.Stringer.
-func (c Codec) String() string {
-	if c == CodecBinary {
-		return "binary"
-	}
-	return "json"
-}
-
-// ParseCodec maps the -codec flag values to a Codec.
-func ParseCodec(name string) (Codec, error) {
-	switch name {
-	case "json":
-		return CodecJSON, nil
-	case "binary":
-		return CodecBinary, nil
-	default:
-		return 0, fmt.Errorf("wire: unknown codec %q (want json or binary)", name)
-	}
-}
-
-// binMagic is the binary-codec connection preamble. The first byte is not
-// '{', which is how the server tells the two codecs apart. The trailing
+// binMagic is the connection preamble: every client sends it before its
+// first frame, and the server reads it before anything else. The trailing
 // digit versions the frame layout: "2" added the pipeline sequence number
 // to batch and replies frames, "3" added the trailing trace triple
 // (trace/span ID uvarints plus a flags byte) to the trace-carrying frames —
@@ -65,29 +26,27 @@ var binMagic = [4]byte{'D', 'D', 'S', '3'}
 const maxFrameSize = 16 << 20
 
 // Binary frame type codes (the binary counterpart of the Frame* strings).
-// Codes 0x08–0x0a are the replication frames added after DDS2 shipped;
-// adding codes is layout-compatible (existing frames encode unchanged, and a
+// Adding codes is layout-compatible (existing frames encode unchanged, and a
 // peer that predates a code rejects it cleanly as unknown), so the preamble
 // digit only moves when an existing frame's layout changes.
+//
+// Codes 0x08 and 0x0c belonged to the retired flat-sample state-sync and
+// range-handoff frames. They stay unassigned, so such a frame from an old
+// peer decodes to an error instead of being misread as something else.
 const (
-	binHello        = 0x01
-	binOffer        = 0x02
-	binReplies      = 0x03
-	binQuery        = 0x04
-	binSample       = 0x05
-	binError        = 0x06
-	binBatch        = 0x07
-	binStateSync    = 0x08
-	binStateAck     = 0x09
-	binPromote      = 0x0a
-	binRouteUpdate  = 0x0b
-	binRangeHandoff = 0x0c
-	// Generic state frames (the unified Snapshot/Restore API): the payload is
-	// an encoded core.State — kind-tagged and version-fenced by core's own
-	// encoding — so one frame layout carries every sampler kind's full state.
-	// They supersede the flat-sample state-sync and range-handoff payloads,
-	// which remain decodable (and applied, for restorable nodes) for one
-	// release.
+	binHello       = 0x01
+	binOffer       = 0x02
+	binReplies     = 0x03
+	binQuery       = 0x04
+	binSample      = 0x05
+	binError       = 0x06
+	binBatch       = 0x07
+	binStateAck    = 0x09
+	binPromote     = 0x0a
+	binRouteUpdate = 0x0b
+	// State frames: the payload is an encoded core.State — kind-tagged and
+	// version-fenced by core's own encoding — so one frame layout carries
+	// every sampler kind's full state.
 	binStateFrame   = 0x0d
 	binStateHandoff = 0x0e
 	binSnapshot     = 0x0f
@@ -107,11 +66,9 @@ var binToName = map[byte]string{
 	binSample:       FrameSample,
 	binError:        FrameError,
 	binBatch:        FrameBatch,
-	binStateSync:    FrameStateSync,
 	binStateAck:     FrameStateAck,
 	binPromote:      FramePromote,
 	binRouteUpdate:  FrameRouteUpdate,
-	binRangeHandoff: FrameRangeHandoff,
 	binStateFrame:   FrameState,
 	binStateHandoff: FrameStateHandoff,
 	binSnapshot:     FrameSnapshot,
@@ -138,11 +95,9 @@ var nameToBin = map[string]byte{
 	FrameSample:       binSample,
 	FrameError:        binError,
 	FrameBatch:        binBatch,
-	FrameStateSync:    binStateSync,
 	FrameStateAck:     binStateAck,
 	FramePromote:      binPromote,
 	FrameRouteUpdate:  binRouteUpdate,
-	FrameRangeHandoff: binRangeHandoff,
 	FrameState:        binStateFrame,
 	FrameStateHandoff: binStateHandoff,
 	FrameSnapshot:     binSnapshot,
@@ -151,10 +106,10 @@ var nameToBin = map[string]byte{
 	FrameLeaseAck:     binLeaseAck,
 }
 
-// frameConn reads and writes protocol frames in one concrete codec. A
-// connection is used by at most one reading and one writing goroutine at a
-// time (the pipelined client reads replies from a dedicated goroutine while
-// the caller writes); each side owns its own scratch state.
+// frameConn reads and writes protocol frames. A connection is used by at
+// most one reading and one writing goroutine at a time (the pipelined client
+// reads replies from a dedicated goroutine while the caller writes); each
+// side owns its own scratch state.
 //
 // WriteFrame may buffer; Flush pushes everything buffered to the wire.
 // Callers must Flush before blocking on a response — the pipelined writer
@@ -171,46 +126,6 @@ type frameConn interface {
 // faultnet fault injector foremost — implements and consumes this interface;
 // DialSyncWrap and ServeMemWrap thread a wrapper into real connections.
 type FrameConn = frameConn
-
-// jsonConn is the original one-JSON-object-per-line transport. Writes are
-// unbuffered (Flush is a no-op), matching the legacy synchronous dialogue.
-type jsonConn struct {
-	dec *json.Decoder
-	enc *json.Encoder
-}
-
-func newJSONConn(r io.Reader, w io.Writer) *jsonConn {
-	return &jsonConn{dec: json.NewDecoder(r), enc: json.NewEncoder(w)}
-}
-
-func (c *jsonConn) ReadFrame(f *Frame) error {
-	*f = Frame{}
-	var decStart int64
-	if obs.TracingEnabled() {
-		decStart = nowNanos()
-	}
-	if err := c.dec.Decode(f); err != nil {
-		return err
-	}
-	if decStart != 0 {
-		f.decodeStart, f.decodeEnd = decStart, nowNanos()
-	}
-	if code, ok := nameToBin[f.Type]; ok {
-		obsFramesDecoded[code].Inc()
-	}
-	return nil
-}
-
-func (c *jsonConn) WriteFrame(f *Frame) error {
-	if err := c.enc.Encode(f); err != nil {
-		return err
-	}
-	if code, ok := nameToBin[f.Type]; ok {
-		obsFramesEncoded[code].Inc()
-	}
-	return nil
-}
-func (c *jsonConn) Flush() error { return nil }
 
 // binBufSize sizes the binary transport's buffered reader and writer. Large
 // enough to hold a whole pipeline window of typical batch frames, so a
@@ -236,13 +151,12 @@ func newBinConn(r *bufio.Reader, w io.Writer) *binConn {
 
 func (c *binConn) Flush() error { return c.w.Flush() }
 
-// dialBinary sends the binary preamble over a fresh client connection.
-func dialBinary(conn net.Conn, r *bufio.Reader) (*binConn, error) {
-	c := newBinConn(r, conn)
-	if _, err := c.w.Write(binMagic[:]); err != nil {
-		return nil, fmt.Errorf("wire: send magic: %w", err)
-	}
-	return c, nil
+// clientConn builds the client half of a fresh connection. The preamble is
+// buffered ahead of the first frame, so both leave in one write.
+func clientConn(conn net.Conn) *binConn {
+	c := newBinConn(bufio.NewReaderSize(conn, binBufSize), conn)
+	_, _ = c.w.Write(binMagic[:]) // a fresh buffered writer cannot fail
+	return c
 }
 
 func (c *binConn) WriteFrame(f *Frame) error {
@@ -289,17 +203,6 @@ func (c *binConn) WriteFrame(f *Frame) error {
 			buf = appendMessage(buf, e.Msg)
 		}
 		buf = appendTrace(buf, f)
-	case binStateSync:
-		buf = binary.AppendUvarint(buf, f.Epoch)
-		buf = binary.AppendUvarint(buf, f.Seq)
-		buf = binary.AppendVarint(buf, f.Slot)
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f.U))
-		buf = binary.AppendUvarint(buf, uint64(len(f.Entries)))
-		for _, e := range f.Entries {
-			buf = appendString(buf, e.Key)
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.Hash))
-			buf = binary.AppendVarint(buf, e.Expiry)
-		}
 	case binStateAck:
 		buf = binary.AppendUvarint(buf, f.Epoch)
 		buf = binary.AppendUvarint(buf, f.Seq)
@@ -309,17 +212,6 @@ func (c *binConn) WriteFrame(f *Frame) error {
 		buf = binary.AppendUvarint(buf, f.Seq)
 		buf = binary.LittleEndian.AppendUint64(buf, f.Lo)
 		buf = binary.LittleEndian.AppendUint64(buf, f.Hi)
-	case binRangeHandoff:
-		buf = binary.AppendUvarint(buf, f.Seq)
-		buf = binary.LittleEndian.AppendUint64(buf, f.Lo)
-		buf = binary.LittleEndian.AppendUint64(buf, f.Hi)
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f.U))
-		buf = binary.AppendUvarint(buf, uint64(len(f.Entries)))
-		for _, e := range f.Entries {
-			buf = appendString(buf, e.Key)
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.Hash))
-			buf = binary.AppendVarint(buf, e.Expiry)
-		}
 	case binStateFrame:
 		buf = binary.AppendUvarint(buf, f.Epoch)
 		buf = binary.AppendUvarint(buf, f.Seq)
@@ -458,23 +350,6 @@ func (c *binConn) ReadFrame(f *Frame) error {
 			f.Batch = append(f.Batch, e)
 		}
 		d.trace(f)
-	case binStateSync:
-		f.Epoch = d.uvarint()
-		f.Seq = d.uvarint()
-		f.Slot = d.varint()
-		f.U = d.float()
-		count := d.uvarint()
-		if err := d.checkCount(count, minSampleEntryBytes); err != nil {
-			return err
-		}
-		if count > 0 {
-			f.Entries = entries
-		}
-		for i := uint64(0); i < count && d.err == nil; i++ {
-			e := netsim.SampleEntry{Key: d.string(), Hash: d.float()}
-			e.Expiry = d.varint()
-			f.Entries = append(f.Entries, e)
-		}
 	case binStateAck:
 		f.Epoch = d.uvarint()
 		f.Seq = d.uvarint()
@@ -484,23 +359,6 @@ func (c *binConn) ReadFrame(f *Frame) error {
 		f.Seq = d.uvarint()
 		f.Lo = d.uint64()
 		f.Hi = d.uint64()
-	case binRangeHandoff:
-		f.Seq = d.uvarint()
-		f.Lo = d.uint64()
-		f.Hi = d.uint64()
-		f.U = d.float()
-		count := d.uvarint()
-		if err := d.checkCount(count, minSampleEntryBytes); err != nil {
-			return err
-		}
-		if count > 0 {
-			f.Entries = entries
-		}
-		for i := uint64(0); i < count && d.err == nil; i++ {
-			e := netsim.SampleEntry{Key: d.string(), Hash: d.float()}
-			e.Expiry = d.varint()
-			f.Entries = append(f.Entries, e)
-		}
 	case binStateFrame:
 		f.Epoch = d.uvarint()
 		f.Seq = d.uvarint()
@@ -739,19 +597,11 @@ func (d *byteDecoder) checkCount(count uint64, minBytes int) error {
 	return d.err
 }
 
-// sniffServerConn inspects the first byte of an accepted connection and
-// returns the matching frameConn: '{' selects JSON (a legacy client's first
-// frame), the binary magic selects the binary codec. Anything else is
-// rejected.
-func sniffServerConn(conn net.Conn) (frameConn, error) {
+// serverConn reads the preamble of an accepted connection and returns its
+// frameConn. A connection that does not open with binMagic — a peer speaking
+// an older layout, or not this protocol at all — is rejected.
+func serverConn(conn net.Conn) (frameConn, error) {
 	br := bufio.NewReaderSize(conn, binBufSize)
-	first, err := br.Peek(1)
-	if err != nil {
-		return nil, err
-	}
-	if first[0] == '{' {
-		return newJSONConn(br, conn), nil
-	}
 	var magic [4]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
 		return nil, err

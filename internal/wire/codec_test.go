@@ -49,12 +49,9 @@ func TestBinaryCodecRoundTrip(t *testing.T) {
 			{Slot: 2, Msg: netsim.Message{Kind: netsim.KindWindowOffer, Key: "y", Hash: 0.25, Expiry: 11}},
 		}},
 		{Type: FrameReplies}, // empty replies round-trip too
-		// Replication frames: full metadata, and the empty-sample edge.
-		{Type: FrameStateSync, Epoch: 3, Seq: 99, Slot: -7, U: 0.0625, Entries: []netsim.SampleEntry{
-			{Key: "r1", Hash: 0.03, Expiry: 5},
-			{Key: "r2", Hash: 0.0625},
-		}},
-		{Type: FrameStateSync, U: 1},
+		// Replication frames: full metadata, and the empty-state edge.
+		{Type: FrameState, Epoch: 3, Seq: 99, Slot: -7, State: []byte{1, 2, 3}},
+		{Type: FrameState},
 		{Type: FrameStateAck, Epoch: 2, Seq: 17},
 		{Type: FramePromote, Epoch: 4},
 	}
@@ -100,6 +97,9 @@ func TestBinaryCodecRejectsCorruptInput(t *testing.T) {
 		// replies frame claiming far more messages than the payload holds
 		append(binary.LittleEndian.AppendUint32(nil, 3), binReplies, 0xff, 0x7f),
 	}
+	// The retired flat-sample state-sync and range-handoff codes: an old
+	// peer's frame is refused, never read as another frame kind.
+	corrupt = append(corrupt, retiredCodeFrames()...)
 	for i, raw := range corrupt {
 		c := newBinConn(bufio.NewReader(bytes.NewReader(raw)), &bytes.Buffer{})
 		var f Frame
@@ -109,24 +109,9 @@ func TestBinaryCodecRejectsCorruptInput(t *testing.T) {
 	}
 }
 
-func TestParseCodec(t *testing.T) {
-	if c, err := ParseCodec("json"); err != nil || c != CodecJSON {
-		t.Fatalf("ParseCodec(json) = %v, %v", c, err)
-	}
-	if c, err := ParseCodec("binary"); err != nil || c != CodecBinary {
-		t.Fatalf("ParseCodec(binary) = %v, %v", c, err)
-	}
-	if _, err := ParseCodec("gob"); err == nil {
-		t.Fatal("ParseCodec should reject unknown names")
-	}
-	if CodecJSON.String() != "json" || CodecBinary.String() != "binary" {
-		t.Fatal("Codec.String mismatch")
-	}
-}
-
 // TestBinaryBatchedEndToEnd re-runs the infinite-window end-to-end
-// deployment over the binary codec with batching and checks the sample
-// against the centralized oracle, plus JSON/binary interop on one server.
+// deployment with batching and checks the sample against the centralized
+// oracle, with batch sizes mixed on one server.
 func TestBinaryBatchedEndToEnd(t *testing.T) {
 	const (
 		k    = 4
@@ -146,11 +131,10 @@ func TestBinaryBatchedEndToEnd(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make(chan error, k)
 	for site := 0; site < k; site++ {
-		// Mix codecs and batch sizes on the same server: negotiation is per
-		// connection.
-		opts := Options{Codec: CodecBinary, BatchSize: 32}
+		// Mix batch sizes on the same server: batching is per connection.
+		opts := Options{BatchSize: 32}
 		if site%2 == 1 {
-			opts = Options{Codec: CodecJSON, BatchSize: 4}
+			opts = Options{BatchSize: 4}
 		}
 		client, err := DialSiteOptions(core.NewInfiniteSite(site, hasher), addr, opts)
 		if err != nil {
@@ -179,36 +163,35 @@ func TestBinaryBatchedEndToEnd(t *testing.T) {
 	oracle := core.NewReference(s, hasher)
 	oracle.ObserveAll(stream.Keys(elements))
 	if !oracle.SameSample(srv.Sample()) {
-		t.Fatal("batched/binary deployment diverged from the oracle")
+		t.Fatal("batched deployment diverged from the oracle")
 	}
-	// Query over both codecs returns the same entries.
-	jsonSample, err := Query(addr)
+	// A remote query returns exactly the server's sample.
+	queried, err := Query(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	binSample, err := QueryWith(addr, CodecBinary)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(jsonSample, binSample) {
-		t.Fatalf("codec-dependent query results:\njson: %+v\nbin:  %+v", jsonSample, binSample)
+	if !reflect.DeepEqual(queried, srv.Sample()) {
+		t.Fatalf("queried sample differs from the server's:\n got: %+v\nwant: %+v", queried, srv.Sample())
 	}
 }
 
-// TestServerRejectsBadPreamble covers the negotiation path: a connection
-// that is neither JSON nor the binary magic is dropped without a response.
+// TestServerRejectsBadPreamble covers the preamble check: a connection that
+// does not open with the binary magic — a JSON-speaking peer included — is
+// dropped without a response.
 func TestServerRejectsBadPreamble(t *testing.T) {
 	_, addr := startServer(t, core.NewInfiniteCoordinator(2))
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write([]byte("NOPE")); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 1)
-	if _, err := conn.Read(buf); err == nil {
-		t.Fatal("expected the server to close a connection with a bad preamble")
+	for _, preamble := range []string{"NOPE", "DDS2", `{"type":"query"}` + "\n"} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write([]byte(preamble)); err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, 1)
+		if _, err := conn.Read(buf); err == nil {
+			t.Fatalf("expected the server to close a connection opening with %q", preamble)
+		}
+		conn.Close()
 	}
 }

@@ -95,7 +95,7 @@ func TestMidStreamDisconnect(t *testing.T) {
 
 	// A batched binary site that disconnects with offers still buffered
 	// (never flushed): the server must simply never see them.
-	c2, err := DialSiteOptions(core.NewInfiniteSite(2, hasher), addr, Options{Codec: CodecBinary, BatchSize: 1000})
+	c2, err := DialSiteOptions(core.NewInfiniteSite(2, hasher), addr, Options{BatchSize: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestMidStreamDisconnect(t *testing.T) {
 	}
 
 	// A healthy site still works after all of the above.
-	c3, err := DialSiteOptions(core.NewInfiniteSite(3, hasher), addr, Options{Codec: CodecBinary, BatchSize: 2})
+	c3, err := DialSiteOptions(core.NewInfiniteSite(3, hasher), addr, Options{BatchSize: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestConcurrentQueriesDuringIngest(t *testing.T) {
 	for site := 0; site < k; site++ {
 		opts := Options{}
 		if site%2 == 0 {
-			opts = Options{Codec: CodecBinary, BatchSize: 16}
+			opts = Options{BatchSize: 16}
 		}
 		client, err := DialSiteOptions(core.NewInfiniteSite(site, hasher), addr, opts)
 		if err != nil {
@@ -177,11 +177,7 @@ func TestConcurrentQueriesDuringIngest(t *testing.T) {
 		wg.Add(1)
 		go func(q int) {
 			defer wg.Done()
-			codec := CodecJSON
-			if q%2 == 0 {
-				codec = CodecBinary
-			}
-			sample, err := QueryWith(addr, codec)
+			sample, err := Query(addr)
 			if err != nil {
 				errs <- err
 				return

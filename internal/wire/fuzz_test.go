@@ -3,7 +3,9 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"io"
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -46,11 +48,9 @@ func corpusFrames() []Frame {
 		{Type: FrameSample, Entries: entries},
 		{Type: FrameError, Error: "corpus error"},
 		{Type: FrameBatch, Seq: 9, Batch: []BatchEntry{{Slot: 1, Msg: msg}, {Slot: 2, Msg: msg}}},
-		{Type: FrameStateSync, Epoch: 2, Seq: 5, Slot: 13, U: 0.75, Entries: entries},
 		{Type: FrameStateAck, Epoch: 2, Seq: 5},
 		{Type: FramePromote, Epoch: 6},
 		{Type: FrameRouteUpdate, Seq: 4, Lo: 1 << 62, Hi: 3 << 62},
-		{Type: FrameRangeHandoff, Seq: 4, Lo: 1 << 62, Hi: 0, U: 0.5, Entries: entries},
 		{Type: FrameState, Epoch: 3, Seq: 7, Slot: 21, State: corpusState()},
 		{Type: FrameStateHandoff, Seq: 5, Lo: 1 << 61, Hi: 1 << 63, State: corpusState()},
 		{Type: FrameSnapshot},
@@ -73,6 +73,36 @@ func corpusFrames() []Frame {
 		{Type: FrameLeaseRenew, Epoch: 4, Seq: 150_000_000,
 			TraceID: ^uint64(0), SpanID: ^uint64(0), TraceFlags: 0xff},
 	}
+}
+
+// retiredCodeFrames returns frames in the layouts old peers used for the
+// retired flat-sample state-sync (0x08) and range-handoff (0x0c) codes,
+// length prefix included. Both codes stay unassigned, so each must decode to
+// an error: a frame from an old peer is refused, never misread.
+func retiredCodeFrames() [][]byte {
+	entry := func(buf []byte) []byte {
+		buf = binary.AppendUvarint(buf, 1) // one sample entry
+		buf = appendString(buf, "legacy-key")
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(0.01))
+		return binary.AppendVarint(buf, 9)
+	}
+	stateSync := []byte{0x08}
+	stateSync = binary.AppendUvarint(stateSync, 2) // epoch
+	stateSync = binary.AppendUvarint(stateSync, 5) // sync sequence
+	stateSync = binary.AppendVarint(stateSync, 13) // slot
+	stateSync = binary.LittleEndian.AppendUint64(stateSync, math.Float64bits(0.75))
+	stateSync = entry(stateSync)
+	rangeHandoff := []byte{0x0c}
+	rangeHandoff = binary.AppendUvarint(rangeHandoff, 4) // route version
+	rangeHandoff = binary.LittleEndian.AppendUint64(rangeHandoff, 1<<62)
+	rangeHandoff = binary.LittleEndian.AppendUint64(rangeHandoff, 0)
+	rangeHandoff = binary.LittleEndian.AppendUint64(rangeHandoff, math.Float64bits(0.5))
+	rangeHandoff = entry(rangeHandoff)
+	var out [][]byte
+	for _, payload := range [][]byte{stateSync, rangeHandoff} {
+		out = append(out, append(binary.LittleEndian.AppendUint32(nil, uint32(len(payload))), payload...))
+	}
+	return out
 }
 
 // corpusState is a well-formed encoded core.State (sliding kind, candidate +
@@ -111,6 +141,9 @@ func FuzzBinaryFrameDecode(f *testing.F) {
 	f.Add([]byte{4, 0, 0, 0, 0x07, 0xff, 0xff})             // batch with an implausible count
 	f.Add([]byte{1, 0, 0, 0, 0x42})                         // unknown frame code
 	f.Add(append([]byte{200, 0, 0, 0}, make([]byte, 8)...)) // length prefix past the payload
+	for _, raw := range retiredCodeFrames() {
+		f.Add(raw) // must decode to an error (see TestBinaryCodecRejectsCorruptInput)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := newBinConn(bufio.NewReaderSize(bytes.NewReader(data), 64), io.Discard)
@@ -141,11 +174,6 @@ func framesEquivalent(a, b *Frame) bool {
 		a.Epoch != b.Epoch || a.Lo != b.Lo || a.Hi != b.Hi || a.Error != b.Error ||
 		a.TraceID != b.TraceID || a.SpanID != b.SpanID || a.TraceFlags != b.TraceFlags ||
 		!bytes.Equal(a.State, b.State) {
-		return false
-	}
-	// NaN-tolerant float comparison: the codec moves raw IEEE 754 bits, so a
-	// NaN round-trips even though NaN != NaN.
-	if !floatBitsEqual(a.U, b.U) {
 		return false
 	}
 	if (a.Msg == nil) != (b.Msg == nil) {
@@ -205,6 +233,8 @@ func messagesEquivalent(a, b netsim.Message) bool {
 		floatBitsEqual(a.U, b.U) && a.Expiry == b.Expiry && a.Copy == b.Copy && a.From == b.From
 }
 
+// floatBitsEqual is the NaN-tolerant float comparison: the codec moves raw
+// IEEE 754 bits, so a NaN round-trips even though NaN != NaN.
 func floatBitsEqual(a, b float64) bool {
 	return a == b || (a != a && b != b) // equal, or both NaN
 }

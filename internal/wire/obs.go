@@ -13,12 +13,10 @@ import (
 // instrumentation does not disturb the zero-alloc encode/decode contract
 // pinned by TestEncodeFrameAllocationFree.
 var (
-	// Frames encoded/decoded by kind, indexed by binary frame code. The JSON
-	// codec counts into the same families via the nameToBin map (its per-frame
-	// reflection cost dwarfs a map lookup).
+	// Frames encoded/decoded by kind, indexed by binary frame code.
 	obsFramesEncoded [binLeaseAck + 1]*obs.Counter
 	obsFramesDecoded [binLeaseAck + 1]*obs.Counter
-	// Bytes on the wire, counted on the binary codec (length prefix included).
+	// Bytes on the wire (length prefix included).
 	obsBytesOut *obs.Counter
 	obsBytesIn  *obs.Counter
 	// Batch sizes shipped by site clients (entries per batch frame), both

@@ -1,8 +1,6 @@
 package wire
 
 import (
-	"errors"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -10,7 +8,7 @@ import (
 	"repro/internal/obs"
 )
 
-// TestWireInstrumentDeltas drives a batched binary ingest exchange and
+// TestWireInstrumentDeltas drives a batched ingest exchange and
 // checks the transport instruments moved: frames encoded/decoded by kind,
 // bytes in/out, batch sizes, and the per-shard offer/churn counters injected
 // via SetShardObs. The default registry is process-global and cumulative, so
@@ -24,7 +22,7 @@ func TestWireInstrumentDeltas(t *testing.T) {
 	offersBefore, churnBefore := offers.Value(), churn.Value()
 	srv.SetShardObs(offers, churn)
 
-	client, err := DialSiteOptions(&floodSite{id: 0, hasher: hashing.NewMurmur2(1)}, addr, Options{Codec: CodecBinary, BatchSize: 16})
+	client, err := DialSiteOptions(&floodSite{id: 0, hasher: hashing.NewMurmur2(1)}, addr, Options{BatchSize: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +70,7 @@ func TestWireInstrumentDeltas(t *testing.T) {
 }
 
 // TestFenceAndPromotionInstruments injects a promotion and then a deposed
-// state-sync and a stale route-update, asserting the fence-rejection
+// state frame and a stale route-update, asserting the fence-rejection
 // counters and the control-plane event trail record exactly those faults.
 func TestFenceAndPromotionInstruments(t *testing.T) {
 	before := obs.Default().Snapshot()
@@ -89,7 +87,7 @@ func TestFenceAndPromotionInstruments(t *testing.T) {
 		t.Fatalf("promote: ack=%d err=%v", ack, err)
 	}
 	// Deposed primary: epoch 1 < server epoch 3. The push is fenced.
-	if ack, err := sc.Sync(1, 0, 0, 1, nil); err != nil || ack != 3 {
+	if ack, err := sc.SyncFrame(1, 0, 0, infiniteState(8)); err != nil || ack != 3 {
 		t.Fatalf("deposed sync: ack=%d err=%v", ack, err)
 	}
 	// Move the route version to 5, then send a stale route-update at 2.
@@ -126,26 +124,5 @@ func TestFenceAndPromotionInstruments(t *testing.T) {
 	if !sawPromotion || !sawEpochFence || !sawRouteFence {
 		t.Fatalf("event trail incomplete: promotion=%v epochFence=%v routeFence=%v (events: %+v)",
 			sawPromotion, sawEpochFence, sawRouteFence, obs.Events().Since(evBase))
-	}
-}
-
-// TestFetchStateNotSnapshottableTyped pins the typed sentinel across the
-// wire: asking a non-snapshot-capable node for its full state fails with an
-// error wrapping ErrNotSnapshottable (detectable via errors.Is), while the
-// error text keeps the legacy-donor marker cluster.Resharder matches on.
-func TestFetchStateNotSnapshottableTyped(t *testing.T) {
-	srv := NewCoordinatorServer(perCopyCoordinator{}) // neither Snapshotter nor Restorable
-	defer srv.Close()
-	sc := NewMemSync(srv)
-	defer sc.Close()
-	_, _, _, err := sc.FetchState()
-	if err == nil {
-		t.Fatal("FetchState on a non-snapshottable node succeeded")
-	}
-	if !errors.Is(err, ErrNotSnapshottable) {
-		t.Fatalf("err = %v, want errors.Is(err, ErrNotSnapshottable)", err)
-	}
-	if !strings.Contains(err.Error(), notSnapshottableText) {
-		t.Fatalf("error text lost the legacy-donor marker: %v", err)
 	}
 }

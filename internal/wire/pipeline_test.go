@@ -43,7 +43,7 @@ func TestPipelinedInfiniteWindowEndToEnd(t *testing.T) {
 	for site := 0; site < k; site++ {
 		// Mix pipeline depths and batch sizes across sites, including
 		// batch-size-1 pipelining (every offer its own sequenced frame).
-		opts := Options{Codec: CodecBinary, BatchSize: 1 << (site % 4), Window: 2 + site}
+		opts := Options{BatchSize: 1 << (site % 4), Window: 2 + site}
 		client, err := DialSiteOptions(core.NewInfiniteSite(site, hasher), addr, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -110,7 +110,7 @@ func TestPipelinedSlidingWindowEndToEnd(t *testing.T) {
 	clients := make([]*SiteClient, k)
 	for site := 0; site < k; site++ {
 		client, err := DialSiteOptions(sliding.NewSite(site, hasher, window, uint64(site)+1), addr,
-			Options{Codec: CodecBinary, BatchSize: 8, Window: 4})
+			Options{BatchSize: 8, Window: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +154,7 @@ func TestPipelinedSlidingWindowEndToEnd(t *testing.T) {
 }
 
 // TestPipelinedAtLeast1_3xSyncBatched is the perf acceptance check of the
-// pipelined path, mirroring TestBatchedBinaryAtLeast3xJSON: streaming
+// pipelined path, mirroring TestBatchedAtLeast3xPerOffer: streaming
 // batches with a credit window must beat the synchronous batched path by at
 // least 1.3x on localhost (measured ratios are typically ~2x and above;
 // 1.3x leaves headroom for loaded CI).
@@ -166,8 +166,8 @@ func TestPipelinedAtLeast1_3xSyncBatched(t *testing.T) {
 		t.Skip("race instrumentation penalizes the mutex-heavy pipelined path; ratio only meaningful uninstrumented")
 	}
 	const n = 200000
-	syncOps := offerThroughput(t, n, Options{Codec: CodecBinary, BatchSize: 64})
-	pipeOps := offerThroughput(t, n, Options{Codec: CodecBinary, BatchSize: 64, Window: DefaultWindow})
+	syncOps := offerThroughput(t, n, Options{BatchSize: 64})
+	pipeOps := offerThroughput(t, n, Options{BatchSize: 64, Window: DefaultWindow})
 	t.Logf("sync binary batch=64: %.0f offers/s; pipelined window=%d: %.0f offers/s (%.2fx)",
 		syncOps, DefaultWindow, pipeOps, pipeOps/syncOps)
 	if pipeOps < 1.3*syncOps {
@@ -190,7 +190,7 @@ func TestPipelinedRejectsBadSequence(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		fc, err := sniffServerConn(conn)
+		fc, err := serverConn(conn)
 		if err != nil {
 			return
 		}
@@ -208,7 +208,7 @@ func TestPipelinedRejectsBadSequence(t *testing.T) {
 	}()
 
 	client, err := DialSiteOptions(&floodSite{id: 0, hasher: hashing.NewMurmur2(1)}, ln.Addr().String(),
-		Options{Codec: CodecBinary, BatchSize: 1, Window: 2})
+		Options{BatchSize: 1, Window: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,13 +225,13 @@ func TestPipelinedRejectsBadSequence(t *testing.T) {
 // gatedCoordinator blocks every message until the gate channel is closed,
 // simulating a coordinator that has stopped keeping up.
 type gatedCoordinator struct {
-	netsim.CoordinatorNode
+	Node
 	gate chan struct{}
 }
 
 func (g *gatedCoordinator) OnMessage(msg netsim.Message, slot int64, out *netsim.Outbox) {
 	<-g.gate
-	g.CoordinatorNode.OnMessage(msg, slot, out)
+	g.Node.OnMessage(msg, slot, out)
 }
 
 // TestPipelinedBackpressure checks the credit window's memory bound: with a
@@ -247,7 +247,7 @@ func TestPipelinedBackpressure(t *testing.T) {
 		total     = 400
 	)
 	gate := make(chan struct{})
-	coord := &gatedCoordinator{CoordinatorNode: core.NewInfiniteCoordinator(16), gate: gate}
+	coord := &gatedCoordinator{Node: core.NewInfiniteCoordinator(16), gate: gate}
 	srv := NewCoordinatorServer(coord)
 	t.Cleanup(func() { _ = srv.Close() })
 
@@ -308,11 +308,11 @@ func TestPipelinedBackpressure(t *testing.T) {
 func TestPipelinedMidStreamDisconnect(t *testing.T) {
 	gate := make(chan struct{})
 	defer close(gate) // unblock the server handler so Close can reap it
-	coord := &gatedCoordinator{CoordinatorNode: core.NewInfiniteCoordinator(16), gate: gate}
+	coord := &gatedCoordinator{Node: core.NewInfiniteCoordinator(16), gate: gate}
 	_, addr := startServer(t, coord)
 
 	client, err := DialSiteOptions(&floodSite{id: 0, hasher: hashing.NewMurmur2(13)}, addr,
-		Options{Codec: CodecBinary, BatchSize: 2, Window: 4})
+		Options{BatchSize: 2, Window: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

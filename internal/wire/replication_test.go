@@ -12,16 +12,24 @@ import (
 	"repro/internal/distribute"
 	"repro/internal/hashing"
 	"repro/internal/netsim"
+	"repro/internal/sliding"
 	"repro/internal/stream"
 )
 
-// sample is a test shorthand for building sample entries.
-func sample(pairs ...netsim.SampleEntry) []netsim.SampleEntry { return pairs }
+// infiniteState encodes the state of an s-sized infinite-window coordinator
+// that has been offered entries: the payload a primary's state frame carries.
+func infiniteState(s int, entries ...netsim.SampleEntry) []byte {
+	c := core.NewInfiniteCoordinator(s)
+	for _, e := range entries {
+		c.Offer(core.Offer{Key: e.Key, Hash: e.Hash})
+	}
+	return core.EncodeState(c.Snapshot())
+}
 
 // TestStateSyncRestoresReplica checks the replication primitive end to end
-// over the in-memory backend: one state-sync frame makes the replica's
-// sample byte-identical to the pushed state, re-application is idempotent,
-// and a second frame supersedes the first.
+// over the in-memory backend: one state frame makes the replica's sample
+// byte-identical to the pushed state, re-application is idempotent, and a
+// second frame supersedes the first.
 func TestStateSyncRestoresReplica(t *testing.T) {
 	coord := core.NewInfiniteCoordinator(4)
 	srv := NewCoordinatorServer(coord)
@@ -29,11 +37,11 @@ func TestStateSyncRestoresReplica(t *testing.T) {
 	sc := NewMemSync(srv)
 	defer sc.Close()
 
-	first := sample(
+	first := infiniteState(4,
 		netsim.SampleEntry{Key: "a", Hash: 0.10},
 		netsim.SampleEntry{Key: "b", Hash: 0.20},
 	)
-	if _, err := sc.Sync(0, 1, 5, 1, first); err != nil {
+	if _, err := sc.SyncFrame(0, 1, 5, first); err != nil {
 		t.Fatal(err)
 	}
 	got := srv.Sample()
@@ -41,15 +49,14 @@ func TestStateSyncRestoresReplica(t *testing.T) {
 		t.Fatalf("replica sample after sync: %+v", got)
 	}
 	// Idempotent re-application.
-	if _, err := sc.Sync(0, 1, 5, 1, first); err != nil {
+	if _, err := sc.SyncFrame(0, 1, 5, first); err != nil {
 		t.Fatal(err)
 	}
 	if again := srv.Sample(); len(again) != 2 {
 		t.Fatalf("re-applied sync changed the sample: %+v", again)
 	}
 	// A newer frame replaces the state outright (no merging).
-	second := sample(netsim.SampleEntry{Key: "c", Hash: 0.05})
-	if _, err := sc.Sync(0, 2, 6, 1, second); err != nil {
+	if _, err := sc.SyncFrame(0, 2, 6, infiniteState(4, netsim.SampleEntry{Key: "c", Hash: 0.05})); err != nil {
 		t.Fatal(err)
 	}
 	got = srv.Sample()
@@ -63,9 +70,9 @@ func TestStateSyncRestoresReplica(t *testing.T) {
 }
 
 // TestStateSyncEpochFencing checks the promotion/fencing rules: promote
-// ratchets the epoch up (idempotently, never down), and a state-sync stamped
-// with a stale epoch is rejected while its ack reveals the newer epoch to
-// the deposed sender.
+// ratchets the epoch up (idempotently, never down), and a state frame
+// stamped with a stale epoch is rejected while its ack reveals the newer
+// epoch to the deposed sender.
 func TestStateSyncEpochFencing(t *testing.T) {
 	srv := NewCoordinatorServer(core.NewInfiniteCoordinator(4))
 	defer srv.Close()
@@ -87,7 +94,7 @@ func TestStateSyncEpochFencing(t *testing.T) {
 	}
 	// A deposed primary's sync (epoch 0) is fenced: not applied, and the ack
 	// carries the newer epoch.
-	ackEpoch, err := sc.Sync(0, 1, 0, 1, sample(netsim.SampleEntry{Key: "stale", Hash: 0.01}))
+	ackEpoch, err := sc.SyncFrame(0, 1, 0, infiniteState(4, netsim.SampleEntry{Key: "stale", Hash: 0.01}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,14 +105,14 @@ func TestStateSyncEpochFencing(t *testing.T) {
 		t.Fatalf("stale sync was applied: %+v", got)
 	}
 	// The new primary's sync (epoch 2) applies.
-	if _, err := sc.Sync(2, 1, 0, 1, sample(netsim.SampleEntry{Key: "fresh", Hash: 0.02})); err != nil {
+	if _, err := sc.SyncFrame(2, 1, 0, infiniteState(4, netsim.SampleEntry{Key: "fresh", Hash: 0.02})); err != nil {
 		t.Fatal(err)
 	}
 	if got := srv.Sample(); len(got) != 1 || got[0].Key != "fresh" {
 		t.Fatalf("current-epoch sync not applied: %+v", got)
 	}
 	// Within an epoch, an older sequence number cannot roll state back.
-	if _, err := sc.Sync(2, 0, 0, 1, sample(netsim.SampleEntry{Key: "old", Hash: 0.03})); err != nil {
+	if _, err := sc.SyncFrame(2, 0, 0, infiniteState(4, netsim.SampleEntry{Key: "old", Hash: 0.03})); err != nil {
 		t.Fatal(err)
 	}
 	if got := srv.Sample(); len(got) != 1 || got[0].Key != "fresh" {
@@ -114,15 +121,22 @@ func TestStateSyncEpochFencing(t *testing.T) {
 }
 
 // TestStateSyncRequiresRestorableNode checks that pushing state at a
-// coordinator that cannot restore it is a protocol error, not a silent drop.
+// coordinator that cannot restore it is a protocol error, not a silent drop:
+// an infinite-window state pushed at a sliding-window node is refused, and
+// the node keeps its own state.
 func TestStateSyncRequiresRestorableNode(t *testing.T) {
-	srv := NewCoordinatorServer(core.NewBroadcastCoordinator(1)) // not Restorable
+	node := sliding.NewCoordinator()
+	node.Offer(core.Offer{Key: "own", Hash: 0.3, Expiry: 10})
+	srv := NewCoordinatorServer(node)
 	defer srv.Close()
 	sc := NewMemSync(srv)
 	defer sc.Close()
-	_, err := sc.Sync(0, 1, 0, 1, nil)
-	if err == nil || !strings.Contains(err.Error(), "not restorable") {
-		t.Fatalf("expected a not-restorable error, got %v", err)
+	_, err := sc.SyncFrame(0, 1, 0, infiniteState(4, netsim.SampleEntry{Key: "x", Hash: 0.1}))
+	if err == nil || !strings.Contains(err.Error(), "state-frame") {
+		t.Fatalf("expected a state-frame error, got %v", err)
+	}
+	if got := node.Sample(); len(got) != 1 || got[0].Key != "own" {
+		t.Fatalf("refused state frame changed the node: %+v", got)
 	}
 }
 
@@ -136,15 +150,13 @@ func TestPromoteOverTCP(t *testing.T) {
 	}
 	defer srv.Close()
 
-	for _, codec := range []Codec{CodecJSON, CodecBinary} {
-		if epoch, err := ProbeEpoch(addr, codec); err != nil || epoch != srv.Epoch() {
-			t.Fatalf("%v probe = (%d, %v), server epoch %d", codec, epoch, err, srv.Epoch())
-		}
+	if epoch, err := ProbeEpoch(addr); err != nil || epoch != srv.Epoch() {
+		t.Fatalf("probe = (%d, %v), server epoch %d", epoch, err, srv.Epoch())
 	}
-	if epoch, err := PromoteAddr(addr, 3, CodecBinary); err != nil || epoch != 3 {
+	if epoch, err := PromoteAddr(addr, 3); err != nil || epoch != 3 {
 		t.Fatalf("PromoteAddr = (%d, %v)", epoch, err)
 	}
-	if _, err := ProbeEpoch("127.0.0.1:1", CodecBinary); err == nil {
+	if _, err := ProbeEpoch("127.0.0.1:1"); err == nil {
 		t.Fatal("probe of a dead address should fail")
 	}
 }
@@ -175,7 +187,7 @@ func TestReplyThinning(t *testing.T) {
 		thresholds = append(thresholds, netsim.Message{Kind: netsim.KindThreshold, U: hash, From: netsim.CoordinatorID})
 	}
 
-	client, err := DialSiteOptions(&floodSite{id: 0, hasher: hashing.NewMurmur2(1)}, addr, Options{Codec: CodecBinary})
+	client, err := DialSiteOptions(&floodSite{id: 0, hasher: hashing.NewMurmur2(1)}, addr, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +237,8 @@ func TestReplyThinning(t *testing.T) {
 }
 
 // perCopyCoordinator answers every offer with threshold refreshes for two
-// sampler copies — the sampling-with-replacement reply shape.
+// sampler copies — the sampling-with-replacement reply shape. It holds no
+// state, so it serves through the stateless adapter.
 type perCopyCoordinator struct{}
 
 func (perCopyCoordinator) OnMessage(msg netsim.Message, _ int64, out *netsim.Outbox) {
@@ -240,7 +253,7 @@ func (perCopyCoordinator) Sample() []netsim.SampleEntry    { return nil }
 // replacement keeps one threshold per copy) are distinct state and must all
 // survive; only runs within one copy collapse.
 func TestReplyThinningKeepsDistinctCopies(t *testing.T) {
-	srv := NewCoordinatorServer(perCopyCoordinator{})
+	srv := NewCoordinatorServer(stateless{perCopyCoordinator{}})
 	defer srv.Close()
 	fc := srv.ServeMem()
 	defer fc.Close()

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/netsim"
 	"repro/internal/obs"
 )
 
@@ -47,30 +46,11 @@ const leaseLapsedText = "primary lease lapsed"
 // restore ErrStaleRoute across the wire.
 const staleRouteText = "stale route"
 
-// ErrNotSnapshottable is the typed form of a coordinator refusing a
-// state-snapshot operation because its node predates the Snapshot/Restore
-// API (legacy simulation nodes such as core.NewBroadcastCoordinator;
-// sliding.MultiCoordinator gained real Snapshot/Restore via the
-// section-level slot clock and no longer trips this). Every caller path
-// that asks such a node for a snapshot —
-// replica attach, the generic sync push, cluster handoff, dds backup — gets
-// an error wrapping this sentinel instead of a silent degrade; callers
-// detect it with errors.Is, and the public dds package re-exports it.
-var ErrNotSnapshottable = errors.New("wire: coordinator node does not support state snapshots")
-
-// notSnapshottableText is the server-side error string of a refused
-// snapshot operation. It is matched on the client side to restore the typed
-// sentinel across the wire (the FrameError payload is just a string), and
-// cluster.Resharder's legacy-donor fallback matches the same text.
-const notSnapshottableText = "does not support state snapshots"
-
 // coordError turns a FrameError payload into a client-side error,
-// re-attaching the typed sentinel for snapshot-capability refusals so
-// errors.Is works across the wire.
+// re-attaching the typed sentinel of a lease or route fence so errors.Is
+// works across the wire.
 func coordError(msg string) error {
 	switch {
-	case strings.Contains(msg, notSnapshottableText):
-		return fmt.Errorf("wire: coordinator error: %s: %w", msg, ErrNotSnapshottable)
 	case strings.Contains(msg, leaseLapsedText):
 		return fmt.Errorf("wire: coordinator error: %s: %w", msg, ErrLeaseLapsed)
 	case strings.Contains(msg, staleRouteText):
@@ -80,8 +60,9 @@ func coordError(msg string) error {
 }
 
 // SyncClient speaks the replication half of the protocol to one coordinator
-// server: state-sync pushes (primary → replica) and promote/probe exchanges
-// (failover clients → replica). One SyncClient is used by one goroutine at a
+// server: state pushes (primary → replica), handoffs, snapshots, route
+// updates, lease renewals, and promote/probe exchanges (failover clients →
+// replica). One SyncClient is used by one goroutine at a
 // time.
 type SyncClient struct {
 	conn   io.Closer
@@ -90,25 +71,20 @@ type SyncClient struct {
 }
 
 // DialSync connects to the coordinator at addr for replication traffic.
-func DialSync(addr string, codec Codec) (*SyncClient, error) {
+func DialSync(addr string) (*SyncClient, error) {
 	conn, err := net.DialTimeout("tcp", addr, syncDialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("wire: dial sync: %w", err)
 	}
-	fc, err := clientConn(conn, codec)
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	return &SyncClient{conn: conn, fc: fc}, nil
+	return &SyncClient{conn: conn, fc: clientConn(conn)}, nil
 }
 
 // DialSyncWrap is DialSync with transport middleware: wrap receives the
-// dialed connection's frame codec and returns the FrameConn actually used —
+// dialed connection's FrameConn and returns the FrameConn actually used —
 // the seam through which faultnet injects seeded faults into replication
 // traffic (replica.Options.SyncWrap threads it here). A nil wrap is DialSync.
-func DialSyncWrap(addr string, codec Codec, wrap func(FrameConn) FrameConn) (*SyncClient, error) {
-	c, err := DialSync(addr, codec)
+func DialSyncWrap(addr string, wrap func(FrameConn) FrameConn) (*SyncClient, error) {
+	c, err := DialSync(addr)
 	if err != nil {
 		return nil, err
 	}
@@ -157,16 +133,6 @@ func (c *SyncClient) roundTrip(f *Frame) (ackEpoch, ackSeq uint64, err error) {
 	}
 }
 
-// Sync pushes the primary's full sample — with its epoch, a per-epoch
-// sequence number, and the slot/threshold metadata — and returns the
-// replica's resulting epoch. ackEpoch > epoch means the replica has been
-// promoted past the sender: the sender is a deposed primary and the frame
-// was fenced off, not applied.
-func (c *SyncClient) Sync(epoch, seq uint64, slot int64, u float64, entries []netsim.SampleEntry) (ackEpoch uint64, err error) {
-	ackEpoch, _, err = c.roundTrip(&Frame{Type: FrameStateSync, Epoch: epoch, Seq: seq, Slot: slot, U: u, Entries: entries})
-	return ackEpoch, err
-}
-
 // Promote asks the server to assume the given epoch (idempotent: epochs only
 // ever ratchet up) and returns its resulting epoch. Promote(0) never changes
 // anything and doubles as the health/epoch probe.
@@ -195,10 +161,12 @@ func (c *SyncClient) RenewLeaseTraced(tc obs.TraceContext, epoch uint64, interva
 	return ackEpoch, err
 }
 
-// SyncFrame pushes one encoded core.State as a generic state-frame — the
-// replication push for snapshot-capable samplers of every kind — and returns
-// the replica's resulting epoch, exactly like Sync. ackEpoch > epoch means
-// the frame was fenced off (see ErrDeposed, which the caller should wrap).
+// SyncFrame pushes one encoded core.State as a state-frame — the
+// replication push for samplers of every kind — stamped with the primary's
+// epoch and a per-epoch sequence number, and returns the replica's resulting
+// epoch. ackEpoch > epoch means the replica has been promoted past the
+// sender: the frame was fenced off, not applied (see ErrDeposed, which the
+// caller should wrap).
 func (c *SyncClient) SyncFrame(epoch, seq uint64, slot int64, encoded []byte) (ackEpoch uint64, err error) {
 	return c.SyncFrameTraced(obs.TraceContext{}, epoch, seq, slot, encoded)
 }
@@ -248,8 +216,8 @@ func (c *SyncClient) FetchState() (st core.State, epoch uint64, slot int64, err 
 
 // SnapshotAddr dials addr, fetches the coordinator's full state, and returns
 // it decoded.
-func SnapshotAddr(addr string, codec Codec) (core.State, error) {
-	c, err := DialSync(addr, codec)
+func SnapshotAddr(addr string) (core.State, error) {
+	c, err := DialSync(addr)
 	if err != nil {
 		return core.State{}, err
 	}
@@ -260,8 +228,8 @@ func SnapshotAddr(addr string, codec Codec) (core.State, error) {
 
 // HandoffStateAddr dials addr, sends one state-handoff frame, and returns
 // the server's resulting route version.
-func HandoffStateAddr(addr string, ver, lo, hi uint64, st core.State, codec Codec) (uint64, error) {
-	c, err := DialSync(addr, codec)
+func HandoffStateAddr(addr string, ver, lo, hi uint64, st core.State) (uint64, error) {
+	c, err := DialSync(addr)
 	if err != nil {
 		return 0, err
 	}
@@ -271,7 +239,7 @@ func HandoffStateAddr(addr string, ver, lo, hi uint64, st core.State, codec Code
 
 // RouteUpdate assigns the server its new routing-hash range [lo, hi) as of
 // the given route-table version (hi == 0 means up to 2^64): the server drops
-// every sample entry outside the range. It returns the server's resulting
+// every state entry outside the range. It returns the server's resulting
 // route version; ackVer > ver means the frame was fenced off — the server has
 // already applied a newer routing table.
 func (c *SyncClient) RouteUpdate(ver uint64, lo, hi uint64) (ackVer uint64, err error) {
@@ -279,19 +247,10 @@ func (c *SyncClient) RouteUpdate(ver uint64, lo, hi uint64) (ackVer uint64, err 
 	return ackVer, err
 }
 
-// Handoff ships a donor shard's snapshot to the server, which absorbs the
-// entries hashing into [lo, hi) into its own sample (bottom-s of the union).
-// Application is idempotent; a handoff stamped below the server's applied
-// route version is fenced off.
-func (c *SyncClient) Handoff(ver uint64, lo, hi uint64, u float64, entries []netsim.SampleEntry) (ackVer uint64, err error) {
-	_, ackVer, err = c.roundTrip(&Frame{Type: FrameRangeHandoff, Seq: ver, Lo: lo, Hi: hi, U: u, Entries: entries})
-	return ackVer, err
-}
-
 // RouteUpdateAddr dials addr, sends one route-update frame, and returns the
 // server's resulting route version.
-func RouteUpdateAddr(addr string, ver, lo, hi uint64, codec Codec) (uint64, error) {
-	c, err := DialSync(addr, codec)
+func RouteUpdateAddr(addr string, ver, lo, hi uint64) (uint64, error) {
+	c, err := DialSync(addr)
 	if err != nil {
 		return 0, err
 	}
@@ -299,21 +258,10 @@ func RouteUpdateAddr(addr string, ver, lo, hi uint64, codec Codec) (uint64, erro
 	return c.RouteUpdate(ver, lo, hi)
 }
 
-// HandoffAddr dials addr, sends one range-handoff frame, and returns the
-// server's resulting route version.
-func HandoffAddr(addr string, ver, lo, hi uint64, entries []netsim.SampleEntry, codec Codec) (uint64, error) {
-	c, err := DialSync(addr, codec)
-	if err != nil {
-		return 0, err
-	}
-	defer c.Close()
-	return c.Handoff(ver, lo, hi, 1, entries)
-}
-
 // PromoteAddr dials addr, sends one promote frame for the given epoch, and
 // returns the server's resulting epoch.
-func PromoteAddr(addr string, epoch uint64, codec Codec) (uint64, error) {
-	c, err := DialSync(addr, codec)
+func PromoteAddr(addr string, epoch uint64) (uint64, error) {
+	c, err := DialSync(addr)
 	if err != nil {
 		return 0, err
 	}
@@ -323,6 +271,6 @@ func PromoteAddr(addr string, epoch uint64, codec Codec) (uint64, error) {
 
 // ProbeEpoch health-checks the server at addr and returns its current epoch
 // without changing anything.
-func ProbeEpoch(addr string, codec Codec) (uint64, error) {
-	return PromoteAddr(addr, 0, codec)
+func ProbeEpoch(addr string) (uint64, error) {
+	return PromoteAddr(addr, 0)
 }

@@ -79,7 +79,7 @@ func TestTraceSpansCoverIngestPath(t *testing.T) {
 
 	srv, addr := startServer(t, core.NewInfiniteCoordinator(8))
 	client, err := DialSiteOptions(&floodSite{id: 0, hasher: hashing.NewMurmur2(2)}, addr,
-		Options{Codec: CodecBinary, BatchSize: 4})
+		Options{BatchSize: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,29 +11,18 @@
 // Broadcast) are not supported over this transport, matching the concurrent
 // engine's contract.
 //
-// Two codecs are negotiated per connection (see Codec in codec.go):
+// Frames are length-prefixed binary (see codec.go): a connection opens with
+// a 4-byte magic that versions the layout, and every frame after it is a
+// uint32 length followed by a compact tagged payload.
 //
-//   - CodecJSON, the original human-readable format — one JSON object per
-//     line:
-//
-//     {"type":"offer","msg":{...}}            site -> coordinator
-//     {"type":"replies","msgs":[{...},...]}   coordinator -> site
-//     {"type":"query"}                        any client -> coordinator
-//     {"type":"sample","entries":[...]}       coordinator -> querying client
-//
-//   - CodecBinary, a length-prefixed binary format for high-throughput
-//     ingest. A binary connection opens with a 4-byte magic; every frame is
-//     a uint32 length followed by a compact tagged payload.
-//
-// Independently of the codec, sites may batch: a "batch" frame carries N
-// offers and is answered by one "replies" frame covering all of them, so
-// syscalls and encoding overhead amortize over the batch (with identical
-// consecutive replies coalesced — every coordinator-to-site message is an
-// idempotent state refresh, so repeating it within one frame is pure
-// overhead). Batching delays a site's view of the coordinator threshold by
-// at most one batch, which can only cause extra offers, never missed ones —
-// the coordinator's sample is unaffected (the same argument that covers the
-// concurrent engine's races).
+// Sites may batch: a "batch" frame carries N offers and is answered by one
+// "replies" frame covering all of them, so syscalls and encoding overhead
+// amortize over the batch (with identical consecutive replies coalesced —
+// every coordinator-to-site message is an idempotent state refresh, so
+// repeating it within one frame is pure overhead). Batching delays a site's
+// view of the coordinator threshold by at most one batch, which can only
+// cause extra offers, never missed ones — the coordinator's sample is
+// unaffected (the same argument that covers the concurrent engine's races).
 //
 // On top of batching, sites may pipeline (Options.Window > 1): batch frames
 // carry sequence numbers, up to Window of them stream before their replies
@@ -41,16 +30,19 @@
 // connection applies replies as they arrive. See Options.Window and the
 // README's pipelined-ingest section.
 //
-// Replication rides the same transport: a primary coordinator pushes its
-// full bottom-s sample to warm replicas as "state-sync" frames (answered by
-// "state-ack"), and failing-over clients send "promote" frames carrying a
-// monotone epoch number. Both are handled by any CoordinatorServer whose
-// node implements netsim.Restorable; see internal/replica for the group
-// manager and the README's replication section for the protocol.
+// Replication and resharding ride the same transport, and all of them move
+// one thing: the node's full state as an encoded core.State. A primary
+// pushes it to warm replicas as "state-frame" frames (answered by
+// "state-ack"), a reshard driver hands a range of it to another shard as a
+// "state-handoff", and a "snapshot" request reads it back for handoffs,
+// window queries and backups. Failing-over clients send "promote" frames
+// carrying a monotone epoch number. A CoordinatorServer therefore serves
+// only nodes that can snapshot and restore themselves (Node); see
+// internal/replica for the group manager and the README's replication
+// section for the protocol.
 package wire
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -66,48 +58,43 @@ import (
 // BatchEntry is one offer inside a batched frame, carrying its own slot so a
 // batch may span slot boundaries.
 type BatchEntry struct {
-	Slot int64          `json:"slot,omitempty"`
-	Msg  netsim.Message `json:"msg"`
+	Slot int64
+	Msg  netsim.Message
 }
 
 // Frame is one message of the wire protocol.
 type Frame struct {
-	Type string `json:"type"`
-	Site int    `json:"site,omitempty"`
-	Slot int64  `json:"slot,omitempty"`
+	Type string
+	Site int
+	Slot int64
 	// Seq is the batch sequence number of pipelined ingest: each batch frame
 	// carries the site's next sequence number and the coordinator echoes it
 	// on the covering replies frame, so a site streaming several batches
 	// without waiting can match replies to batches and detect reordering.
 	// Synchronous clients leave it zero.
-	Seq uint64 `json:"seq,omitempty"`
+	Seq uint64
 	// Epoch is the replication fencing number. Promote frames carry the epoch
-	// the sender wants the receiver to assume; state-sync frames are stamped
-	// with the sending primary's epoch and are rejected by replicas that have
-	// been promoted past it; state-ack frames echo the receiver's current
-	// epoch so a stale primary (or a probing client) learns the group moved on.
-	Epoch uint64 `json:"epoch,omitempty"`
-	// U is the threshold metadata of a state-sync frame: the primary's
-	// current threshold at the moment the sample was captured. The receiver
-	// re-derives its threshold from the restored sample, so U is carried for
-	// observability and cross-checking, not correctness.
-	U float64 `json:"u,omitempty"`
+	// the sender wants the receiver to assume; state frames are stamped with
+	// the sending primary's epoch and are rejected by replicas that have been
+	// promoted past it; state-ack frames echo the receiver's current epoch so
+	// a stale primary (or a probing client) learns the group moved on.
+	Epoch uint64
 	// Lo and Hi delimit a half-open routing-hash range [Lo, Hi) on the
 	// resharding frames: route-update carries the receiver's newly owned
-	// range, range-handoff carries the range whose entries the receiver must
+	// range, state-handoff carries the range whose entries the receiver must
 	// absorb. Hi == 0 means the range extends to 2^64 (the top of the routing
 	// space), so the full space is Lo == 0, Hi == 0. On these frames Seq
 	// carries the route-table version, the resharding fencing number: a
 	// coordinator that has applied version v ignores route frames stamped
-	// below it, exactly like the replication epoch fences state-syncs.
-	Lo uint64 `json:"lo,omitempty"`
-	Hi uint64 `json:"hi,omitempty"`
-	// State is the payload of the generic state frames (state-frame and
+	// below it, exactly like the replication epoch fences state frames.
+	Lo uint64
+	Hi uint64
+	// State is the payload of the state frames (state-frame and
 	// state-handoff): one encoded core.State, kind-tagged and version-fenced
 	// by core's own encoding, so the same frame layout replicates or hands
-	// off every sampler kind — including the sliding-window coordinator,
-	// whose candidate store never fit in a flat Entries list.
-	State []byte `json:"state,omitempty"`
+	// off every sampler kind — including the sliding-window coordinator's
+	// candidate store.
+	State []byte
 	// Bounds, Slots, and Groups are the payload of a route-push frame: the
 	// full routing table the coordinator wants its connected sites to adopt.
 	// Bounds[i] is the inclusive lower bound of range i (half-open ranges in
@@ -115,24 +102,24 @@ type Frame struct {
 	// slot-indexed replica-group addresses. Seq carries the table version —
 	// the same resharding fencing number route-update frames use — so a site
 	// that has already applied a newer table ignores the push.
-	Bounds  []uint64             `json:"bounds,omitempty"`
-	Slots   []int64              `json:"slots,omitempty"`
-	Groups  [][]string           `json:"groups,omitempty"`
-	Msg     *netsim.Message      `json:"msg,omitempty"`
-	Msgs    []netsim.Message     `json:"msgs,omitempty"`
-	Batch   []BatchEntry         `json:"batch,omitempty"`
-	Entries []netsim.SampleEntry `json:"entries,omitempty"`
-	Error   string               `json:"error,omitempty"`
+	Bounds  []uint64
+	Slots   []int64
+	Groups  [][]string
+	Msg     *netsim.Message
+	Msgs    []netsim.Message
+	Batch   []BatchEntry
+	Entries []netsim.SampleEntry
+	Error   string
 	// TraceID, SpanID, and TraceFlags propagate a sampled trace context
 	// across the wire (see internal/obs): batch frames carry the ingest
 	// trace the site started, replies echo a child context, and the
 	// state-frame / route-push / lease-renew control frames thread the same
 	// trace through replication and reshard rounds. All three are zero on
-	// unsampled traffic — the binary codec still encodes them on the
-	// carrying frames (three bytes of zeros), the JSON codec omits them.
-	TraceID    uint64 `json:"trace_id,omitempty"`
-	SpanID     uint64 `json:"span_id,omitempty"`
-	TraceFlags uint8  `json:"trace_flags,omitempty"`
+	// unsampled traffic, which still encodes them on the carrying frames
+	// (three bytes of zeros).
+	TraceID    uint64
+	SpanID     uint64
+	TraceFlags uint8
 
 	// decodeStart/decodeEnd bound the wall-clock window ReadFrame spent
 	// decoding this frame. Stamped only while tracing is enabled (and left
@@ -161,16 +148,12 @@ const (
 	FrameSample  = "sample"  // coordinator -> client: the current sample
 	FrameError   = "error"   // coordinator -> client: protocol violation
 	// Replication frames (see internal/replica).
-	FrameStateSync = "state-sync" // primary -> replica: full sample + epoch/seq/slot metadata
-	FrameStateAck  = "state-ack"  // replica -> primary/prober: applied (or current) epoch and sync seq
-	FramePromote   = "promote"    // client -> replica: assume this epoch (become primary)
-	// Resharding frames (see internal/cluster's Resharder).
-	FrameRouteUpdate  = "route-update"  // reshard driver -> coordinator: own [Lo,Hi) as of route version Seq; prune the rest
-	FrameRangeHandoff = "range-handoff" // reshard driver -> coordinator: absorb the carried entries that hash into [Lo,Hi)
-	// Generic state frames (the unified Snapshot/Restore API). They carry an
-	// encoded core.State and supersede the flat-sample state-sync and
-	// range-handoff payloads, which legacy peers may still send for one
-	// release (restorable nodes keep applying them).
+	FrameStateAck = "state-ack" // node -> primary/prober: applied (or current) epoch and sync seq
+	FramePromote  = "promote"   // client -> replica: assume this epoch (become primary)
+	// Resharding frame (see internal/cluster's Resharder).
+	FrameRouteUpdate = "route-update" // reshard driver -> coordinator: own [Lo,Hi) as of route version Seq; prune the rest
+	// State frames: each carries an encoded core.State (the unified
+	// Snapshot/Restore API).
 	FrameState        = "state-frame"   // primary/prober -> node: full sampler state (sync push or snapshot reply)
 	FrameStateHandoff = "state-handoff" // reshard driver -> coordinator: absorb the carried state filtered to [Lo,Hi)
 	FrameSnapshot     = "snapshot"      // client -> coordinator: request the full state; answered by a state-frame
@@ -184,7 +167,7 @@ const (
 // CoordinatorServer exposes a coordinator node over TCP.
 type CoordinatorServer struct {
 	mu    sync.Mutex
-	node  netsim.CoordinatorNode
+	node  Node
 	ln    net.Listener
 	wg    sync.WaitGroup
 	conns map[io.Closer]struct{} // live connections, force-closed on Close
@@ -194,24 +177,24 @@ type CoordinatorServer struct {
 		queries int
 	}
 	// Replication state: the highest epoch this server has been promoted to
-	// (or received a state-sync at), and the sequence number of the last
-	// applied state-sync within that epoch. State-sync frames from lower
-	// epochs are fenced off — a deposed primary cannot overwrite a promoted
-	// replica — and lower sequence numbers within the epoch are ignored, so
+	// (or received a state frame at), and the sequence number of the last
+	// applied state frame within that epoch. State frames from lower epochs
+	// are fenced off — a deposed primary cannot overwrite a promoted replica
+	// — and lower sequence numbers within the epoch are ignored, so
 	// re-deliveries and reordering are harmless (application is idempotent
-	// anyway: every frame carries the full sample).
+	// anyway: every frame carries the full state).
 	epoch    uint64
 	syncSeq  uint64
-	synced   bool  // at least one state-sync applied in the current epoch
+	synced   bool  // at least one state frame applied in the current epoch
 	promoted bool  // a promote frame has been accepted (role visibility)
-	lastSlot int64 // highest slot seen across offers (state-sync slot metadata)
+	lastSlot int64 // highest slot seen across offers and state frames
 	closing  bool  // Close has begun; reject freshly accepted connections
 	// Resharding state: the route-table version this server has applied (a
 	// monotone ratchet, like epoch — route frames stamped below it are
 	// fenced off), the routing-hash function used to filter sample entries
 	// by range (set by SetRouteHash; route frames are rejected without it),
 	// and a count of state mutations applied outside the offer path
-	// (state-syncs, handoffs, prunes) so replication change detection sees
+	// (state frames, handoffs, prunes) so replication change detection sees
 	// sample changes that offer counts alone would miss.
 	routeVer  uint64
 	routeHash func(key string) uint64
@@ -256,8 +239,18 @@ type CoordinatorServer struct {
 	lastTrace obs.TraceContext
 }
 
+// Node is a coordinator node a CoordinatorServer can serve: the protocol
+// half (netsim.CoordinatorNode) plus full-state capture (core.Snapshotter),
+// which the replication, handoff, snapshot and route-update frames run on.
+// Every built-in sampler is one; simulation-only nodes that broadcast stay
+// inside the netsim engines.
+type Node interface {
+	netsim.CoordinatorNode
+	core.Snapshotter
+}
+
 // NewCoordinatorServer wraps the given coordinator node.
-func NewCoordinatorServer(node netsim.CoordinatorNode) *CoordinatorServer {
+func NewCoordinatorServer(node Node) *CoordinatorServer {
 	return &CoordinatorServer{
 		node:      node,
 		conns:     make(map[io.Closer]struct{}),
@@ -299,7 +292,7 @@ func (s *CoordinatorServer) Close() error {
 }
 
 // Epoch returns the server's current replication epoch (the highest promote
-// or state-sync epoch it has accepted).
+// or state-frame epoch it has accepted).
 func (s *CoordinatorServer) Epoch() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -315,7 +308,7 @@ func (s *CoordinatorServer) Promoted() bool {
 
 // SetRouteHash installs the cluster's routing-hash function (the rehashed
 // digest the ShardRouter partitions on). It must be set before the server can
-// apply route-update or range-handoff frames: both filter sample entries by
+// apply route-update or state-handoff frames: both filter state entries by
 // their routing hash, which only the shared hash function can compute.
 func (s *CoordinatorServer) SetRouteHash(fn func(key string) uint64) {
 	s.mu.Lock()
@@ -446,17 +439,6 @@ func routeInRange(x, lo, hi uint64) bool {
 	return x >= lo && (hi == 0 || x < hi)
 }
 
-// filterRange keeps the entries whose routing hash falls in [lo, hi).
-func filterRange(entries []netsim.SampleEntry, lo, hi uint64, routeHash func(string) uint64) []netsim.SampleEntry {
-	kept := make([]netsim.SampleEntry, 0, len(entries))
-	for _, e := range entries {
-		if routeInRange(routeHash(e.Key), lo, hi) {
-			kept = append(kept, e)
-		}
-	}
-	return kept
-}
-
 // track registers a live connection so Close can force it shut. It returns
 // false when the server is already closing — a connection accepted in the
 // race window between the listener closing and the force-close pass must be
@@ -493,43 +475,17 @@ func (s *CoordinatorServer) Sample() []netsim.SampleEntry {
 	return s.node.Sample()
 }
 
-// Thresholder is implemented by coordinator nodes that expose their current
-// threshold u (core.InfiniteCoordinator does); SyncState uses it to fill a
-// state-sync frame's threshold metadata.
-type Thresholder interface {
-	Threshold() float64
-}
-
-// SnapshotSync atomically captures the node's full state as a core.State —
-// the generic replication capture — together with the slot clock and the
-// activity counter SyncState documents. ok is false when the node predates
-// the Snapshot/Restore API; callers then fall back to the flat-sample
-// SyncState capture.
-func (s *CoordinatorServer) SnapshotSync() (st core.State, ok bool, slot int64, activity int) {
+// SnapshotSync atomically captures the node's full state — the replication
+// and spool capture — together with the highest slot seen and an activity
+// counter: offers dispatched plus mutations applied through state, handoff
+// and route frames. A replication syncer compares activity counts to skip
+// pushing while the primary's state is unchanged. (Mutations count because a
+// resharding prune or handoff changes the state without any offer arriving;
+// replicas must still learn of it.)
+func (s *CoordinatorServer) SnapshotSync() (st core.State, slot int64, activity int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sn, isSnap := s.node.(core.Snapshotter)
-	if !isSnap {
-		return core.State{}, false, s.lastSlot, s.stats.offers + s.mutations
-	}
-	return sn.Snapshot(), true, s.lastSlot, s.stats.offers + s.mutations
-}
-
-// SyncState atomically captures everything a state-sync frame carries: the
-// node's full sample, its threshold (1 if the node does not expose one), the
-// highest slot seen in ingest, and an activity counter — offers dispatched
-// plus mutations applied through route/handoff/state-sync frames — that lets
-// a replication syncer skip pushing frames while the primary's state is
-// unchanged. (Mutations count because a resharding prune or handoff changes
-// the sample without any offer arriving; replicas must still learn of it.)
-func (s *CoordinatorServer) SyncState() (entries []netsim.SampleEntry, u float64, slot int64, activity int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	u = 1
-	if t, ok := s.node.(Thresholder); ok {
-		u = t.Threshold()
-	}
-	return s.node.Sample(), u, s.lastSlot, s.stats.offers + s.mutations
+	return s.node.Snapshot(), s.lastSlot, s.stats.offers + s.mutations
 }
 
 func (s *CoordinatorServer) acceptLoop() {
@@ -556,8 +512,7 @@ func writeFlush(fc frameConn, f *Frame) error {
 	return fc.Flush()
 }
 
-// handle serves one site (or query client) TCP connection in whichever codec
-// the client chose.
+// handle serves one site (or query client) TCP connection.
 func (s *CoordinatorServer) handle(conn net.Conn) {
 	if !s.track(conn) {
 		conn.Close() // raced the server's Close; a dead server serves no one
@@ -565,7 +520,7 @@ func (s *CoordinatorServer) handle(conn net.Conn) {
 	}
 	defer s.untrack(conn)
 	defer conn.Close()
-	fc, err := sniffServerConn(conn)
+	fc, err := serverConn(conn)
 	if err != nil {
 		return // unreadable preamble; drop the connection
 	}
@@ -815,41 +770,6 @@ func (s *CoordinatorServer) serve(fc frameConn, closeConn io.Closer) {
 			if err := writeFlush(fc, &resp); err != nil {
 				return
 			}
-		case FrameStateSync:
-			// A primary is pushing its full sample. Fencing first: a frame
-			// stamped with an epoch below ours comes from a deposed primary
-			// and must not overwrite promoted state; the ack's epoch tells it
-			// so. Within the current epoch, only sequence numbers at or above
-			// the last applied one are applied (re-application is idempotent —
-			// the frame carries the whole sample — but an old frame must not
-			// roll a newer sample back).
-			rn, ok := s.node.(netsim.Restorable)
-			if !ok {
-				_ = writeFlush(fc, &Frame{Type: FrameError, Error: "state-sync: coordinator node is not restorable"})
-				return
-			}
-			s.mu.Lock()
-			if f.Epoch > s.epoch {
-				s.epoch, s.syncSeq, s.synced = f.Epoch, 0, false
-			}
-			fenced := f.Epoch < s.epoch
-			if !fenced && (!s.synced || f.Seq >= s.syncSeq) {
-				rn.RestoreSample(f.Entries)
-				s.syncSeq, s.synced = f.Seq, true
-				s.mutations++
-			}
-			resp = Frame{Type: FrameStateAck, Epoch: s.epoch, Seq: s.syncSeq}
-			s.mu.Unlock()
-			if fenced {
-				obsEpochFences.Inc()
-				fenceEvent("epoch", f.Type, f.Epoch, resp.Epoch)
-			}
-			if err := flushAck(); err != nil {
-				return
-			}
-			if err := writeFlush(fc, &resp); err != nil {
-				return
-			}
 		case FramePromote:
 			// Epoch-numbered promotion: assume the requested epoch if it is
 			// ahead of ours, and echo the resulting epoch either way. The
@@ -923,15 +843,8 @@ func (s *CoordinatorServer) serve(fc frameConn, closeConn io.Closer) {
 			// monotonically; a frame stamped at or below the applied version
 			// is fenced off (the ack's Seq tells the sender where the server
 			// is), so a delayed route-update can never resurrect a
-			// handed-off range. Snapshot-capable nodes prune through their
-			// full state (candidate store included); legacy restorable nodes
-			// prune the flat sample.
-			sn, isSnap := s.node.(core.Snapshotter)
-			rn, isRest := s.node.(netsim.Restorable)
-			if !isSnap && !isRest {
-				_ = writeFlush(fc, &Frame{Type: FrameError, Error: "route-update: coordinator node is not restorable"})
-				return
-			}
+			// handed-off range. The prune runs through the node's full state,
+			// candidate store included.
 			s.mu.Lock()
 			if s.routeHash == nil {
 				s.mu.Unlock()
@@ -946,15 +859,11 @@ func (s *CoordinatorServer) serve(fc frameConn, closeConn io.Closer) {
 				// registered site has flipped), offers outside it are NACKed
 				// instead of silently landing on a shard that will prune them.
 				s.routeLo, s.routeHi = f.Lo, f.Hi
-				if isSnap {
-					keep := func(key string) bool { return routeInRange(s.routeHash(key), f.Lo, f.Hi) }
-					if err := sn.Restore(core.FilterState(sn.Snapshot(), keep)); err != nil {
-						s.mu.Unlock()
-						_ = writeFlush(fc, &Frame{Type: FrameError, Error: "route-update: " + err.Error()})
-						return
-					}
-				} else {
-					rn.RestoreSample(filterRange(s.node.Sample(), f.Lo, f.Hi, s.routeHash))
+				keep := func(key string) bool { return routeInRange(s.routeHash(key), f.Lo, f.Hi) }
+				if err := s.node.Restore(core.FilterState(s.node.Snapshot(), keep)); err != nil {
+					s.mu.Unlock()
+					_ = writeFlush(fc, &Frame{Type: FrameError, Error: "route-update: " + err.Error()})
+					return
 				}
 				s.mutations++
 			}
@@ -970,61 +879,16 @@ func (s *CoordinatorServer) serve(fc frameConn, closeConn io.Closer) {
 			if err := writeFlush(fc, &resp); err != nil {
 				return
 			}
-		case FrameRangeHandoff:
-			// A reshard driver hands this coordinator a donor shard's
-			// snapshot. The entries hashing into [Lo, Hi) are merged into the
-			// node's sample — applied as offers, so the result is the exact
-			// bottom-s of the union of the snapshot and whatever this shard
-			// has ingested since the cutover — and everything else in the
-			// frame is ignored (it belongs to some other successor).
-			// Application is idempotent, so the warm handoff before the
-			// cutover and the settling handoff after it can carry
-			// overlapping snapshots safely. Handoffs stamped below the
-			// applied route version are fenced: the range has since moved
-			// on, and absorbing a stale snapshot could resurrect keys this
-			// shard no longer owns.
-			rn, ok := s.node.(netsim.Restorable)
-			if !ok {
-				_ = writeFlush(fc, &Frame{Type: FrameError, Error: "range-handoff: coordinator node is not restorable"})
-				return
-			}
-			s.mu.Lock()
-			if s.routeHash == nil {
-				s.mu.Unlock()
-				_ = writeFlush(fc, &Frame{Type: FrameError, Error: "range-handoff: no routing hash configured on this coordinator"})
-				return
-			}
-			fenced := f.Seq < s.routeVer
-			if !fenced {
-				incoming := filterRange(f.Entries, f.Lo, f.Hi, s.routeHash)
-				if len(incoming) > 0 {
-					rn.RestoreSample(append(s.node.Sample(), incoming...))
-					s.mutations++
-				}
-			}
-			resp = Frame{Type: FrameStateAck, Epoch: s.epoch, Seq: s.routeVer}
-			s.mu.Unlock()
-			if fenced {
-				obsRouteFences.Inc()
-				fenceEvent("route", f.Type, f.Seq, resp.Seq)
-			}
-			if err := flushAck(); err != nil {
-				return
-			}
-			if err := writeFlush(fc, &resp); err != nil {
-				return
-			}
 		case FrameState:
-			// Generic state-sync: the payload is one encoded core.State, so
-			// any snapshot-capable sampler — sliding-window candidate stores
-			// included — replicates through the same frame. Fencing is
-			// identical to the legacy state-sync: lower epochs are deposed
-			// primaries, lower sequence numbers within the epoch are stale.
-			sn, ok := s.node.(core.Snapshotter)
-			if !ok {
-				_ = writeFlush(fc, &Frame{Type: FrameError, Error: "state-frame: coordinator node does not support state snapshots"})
-				return
-			}
+			// A primary is pushing its full state: one encoded core.State, so
+			// every sampler kind — sliding-window candidate stores included —
+			// replicates through the same frame. Fencing first: a frame
+			// stamped with an epoch below ours comes from a deposed primary
+			// and must not overwrite promoted state; the ack's epoch tells it
+			// so. Within the current epoch, only sequence numbers at or above
+			// the last applied one are applied (re-application is idempotent
+			// — the frame carries the whole state — but an old frame must not
+			// roll a newer state back).
 			st, derr := core.DecodeState(f.State)
 			if derr != nil {
 				_ = writeFlush(fc, &Frame{Type: FrameError, Error: "state-frame: " + derr.Error()})
@@ -1041,7 +905,7 @@ func (s *CoordinatorServer) serve(fc frameConn, closeConn io.Closer) {
 			}
 			fenced := f.Epoch < s.epoch
 			if !fenced && (!s.synced || f.Seq >= s.syncSeq) {
-				if err := sn.Restore(st); err != nil {
+				if err := s.node.Restore(st); err != nil {
 					s.mu.Unlock()
 					_ = writeFlush(fc, &Frame{Type: FrameError, Error: "state-frame: " + err.Error()})
 					return
@@ -1068,18 +932,17 @@ func (s *CoordinatorServer) serve(fc frameConn, closeConn io.Closer) {
 				return
 			}
 		case FrameStateHandoff:
-			// Generic range handoff: absorb a donor's encoded state filtered
-			// to [Lo, Hi). The incoming sections merge into the node's own
-			// snapshot and the merged state is restored, so each sampler
+			// A reshard driver hands this coordinator a donor's encoded
+			// state. The sections filtered to [Lo, Hi) merge into the node's
+			// own snapshot and the merged state is restored, so each sampler
 			// kind applies its own union semantics (bottom-s of the union,
-			// per-copy minimum, non-dominated tuple set). Idempotent, and
-			// fenced below the applied route version like the legacy
-			// range-handoff.
-			sn, ok := s.node.(core.Snapshotter)
-			if !ok {
-				_ = writeFlush(fc, &Frame{Type: FrameError, Error: "state-handoff: coordinator node does not support state snapshots"})
-				return
-			}
+			// per-copy minimum, non-dominated tuple set); everything else in
+			// the frame belongs to some other successor. Application is
+			// idempotent, so the warm handoff before the cutover and the
+			// settling handoff after it can carry overlapping snapshots
+			// safely. Handoffs stamped below the applied route version are
+			// fenced: the range has since moved on, and absorbing a stale
+			// snapshot could resurrect keys this shard no longer owns.
 			incoming, derr := core.DecodeState(f.State)
 			if derr != nil {
 				_ = writeFlush(fc, &Frame{Type: FrameError, Error: "state-handoff: " + derr.Error()})
@@ -1094,9 +957,9 @@ func (s *CoordinatorServer) serve(fc frameConn, closeConn io.Closer) {
 			fenced := f.Seq < s.routeVer
 			if !fenced {
 				keep := func(key string) bool { return routeInRange(s.routeHash(key), f.Lo, f.Hi) }
-				merged, merr := core.MergeStates(sn.Snapshot(), core.FilterState(incoming, keep))
+				merged, merr := core.MergeStates(s.node.Snapshot(), core.FilterState(incoming, keep))
 				if merr == nil {
-					merr = sn.Restore(merged)
+					merr = s.node.Restore(merged)
 				}
 				if merr != nil {
 					s.mu.Unlock()
@@ -1121,13 +984,8 @@ func (s *CoordinatorServer) serve(fc frameConn, closeConn io.Closer) {
 			// Full-state read: the snapshot-and-ship half of replication,
 			// handoff, and backup. The reply is a state-frame stamped with
 			// the server's epoch, sync sequence, and slot clock.
-			sn, ok := s.node.(core.Snapshotter)
-			if !ok {
-				_ = writeFlush(fc, &Frame{Type: FrameError, Error: "snapshot: coordinator node does not support state snapshots"})
-				return
-			}
 			s.mu.Lock()
-			encoded := core.EncodeState(sn.Snapshot())
+			encoded := core.EncodeState(s.node.Snapshot())
 			s.stats.queries++
 			resp = Frame{Type: FrameState, Epoch: s.epoch, Seq: s.syncSeq, Slot: s.lastSlot, State: encoded}
 			s.mu.Unlock()
@@ -1213,9 +1071,6 @@ func (s *CoordinatorServer) dispatchLocked(msg netsim.Message, slot int64, siteI
 
 // Options configures a site client's transport.
 type Options struct {
-	// Codec selects the wire encoding. The default CodecJSON matches legacy
-	// coordinators; CodecBinary is the high-throughput encoding.
-	Codec Codec
 	// BatchSize > 1 buffers up to that many coordinator-bound messages and
 	// ships them in one batch frame, answered by one replies frame. 0 or 1
 	// keeps the original one-request-per-offer dialogue. EndSlot and Close
@@ -1297,7 +1152,7 @@ type SiteClient struct {
 }
 
 // DialSite connects the given site node to the coordinator at addr with the
-// default options (JSON codec, no batching) and announces its site id.
+// default options (no batching, no pipelining) and announces its site id.
 func DialSite(node netsim.SiteNode, addr string) (*SiteClient, error) {
 	return DialSiteOptions(node, addr, Options{})
 }
@@ -1309,12 +1164,7 @@ func DialSiteOptions(node netsim.SiteNode, addr string, opts Options) (*SiteClie
 	if err != nil {
 		return nil, fmt.Errorf("wire: dial: %w", err)
 	}
-	fc, err := clientConn(conn, opts.Codec)
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	c := &SiteClient{node: node, conn: conn, fc: fc, opts: opts}
+	c := &SiteClient{node: node, conn: conn, fc: clientConn(conn), opts: opts}
 	if err := writeFlush(c.fc, &Frame{Type: FrameHello, Site: node.ID()}); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("wire: hello: %w", err)
@@ -1323,16 +1173,6 @@ func DialSiteOptions(node netsim.SiteNode, addr string, opts Options) (*SiteClie
 		c.startPipeline()
 	}
 	return c, nil
-}
-
-// clientConn builds the client half of a connection in the chosen codec,
-// sending the binary preamble when needed.
-func clientConn(conn net.Conn, codec Codec) (frameConn, error) {
-	br := bufio.NewReaderSize(conn, binBufSize)
-	if codec == CodecBinary {
-		return dialBinary(conn, br)
-	}
-	return newJSONConn(br, conn), nil
 }
 
 // Abort closes the underlying transport immediately, without flushing
@@ -1382,7 +1222,7 @@ func (c *SiteClient) Node() netsim.SiteNode { return c.node }
 // connection failure the caller replays these to the promoted replica.
 // Replaying is always safe: offers are idempotent refreshes of a bottom-s
 // sketch, so re-delivering an offer the dead primary did apply (and whose
-// effect survived via a state-sync) changes nothing, while dropping an
+// effect survived via a state frame) changes nothing, while dropping an
 // unapplied one could lose sample entries.
 func (c *SiteClient) Unacked() []BatchEntry {
 	c.mu.Lock()
@@ -1625,23 +1465,15 @@ func (c *SiteClient) routePush(f *Frame) {
 	}
 }
 
-// Query opens a short-lived JSON connection to the coordinator at addr and
+// Query opens a short-lived connection to the coordinator at addr and
 // returns its current distinct sample.
 func Query(addr string) ([]netsim.SampleEntry, error) {
-	return QueryWith(addr, CodecJSON)
-}
-
-// QueryWith is Query over an explicit codec.
-func QueryWith(addr string, codec Codec) ([]netsim.SampleEntry, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("wire: dial: %w", err)
 	}
 	defer conn.Close()
-	fc, err := clientConn(conn, codec)
-	if err != nil {
-		return nil, err
-	}
+	fc := clientConn(conn)
 	if err := writeFlush(fc, &Frame{Type: FrameQuery}); err != nil {
 		return nil, fmt.Errorf("wire: query: %w", err)
 	}

@@ -1,8 +1,8 @@
 package wire
 
 import (
-	"bufio"
-	"encoding/json"
+	"encoding/binary"
+	"errors"
 	"net"
 	"strings"
 	"sync"
@@ -19,7 +19,7 @@ import (
 
 // startServer spins up a coordinator server on a random localhost port and
 // returns its address plus a cleanup function.
-func startServer(t *testing.T, node netsim.CoordinatorNode) (*CoordinatorServer, string) {
+func startServer(t *testing.T, node Node) (*CoordinatorServer, string) {
 	t.Helper()
 	srv := NewCoordinatorServer(node)
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -171,12 +171,24 @@ func TestTCPSlidingWindowEndToEnd(t *testing.T) {
 	}
 }
 
+// stateless gives a coordinator node the Snapshot/Restore half of Node
+// without any state to capture, so tests can serve simulation-only nodes
+// (which production code cannot) to exercise the dispatch path's own checks.
+type stateless struct{ netsim.CoordinatorNode }
+
+func (stateless) Snapshot() core.State { return core.State{} }
+func (stateless) Restore(core.State) error {
+	return errors.New("stateless test node cannot restore state")
+}
+
 func TestTCPRejectsBroadcastCoordinator(t *testing.T) {
 	// Algorithm Broadcast cannot run over the request/response transport:
 	// the first offer that changes u triggers a broadcast and the server
-	// reports a protocol error to the site.
+	// reports a protocol error to the site. (Node already keeps the
+	// broadcast coordinator out of production servers; the dispatch check
+	// is the second line of defence.)
 	hasher := hashing.NewMurmur2(3)
-	_, addr := startServer(t, core.NewBroadcastCoordinator(1))
+	_, addr := startServer(t, stateless{core.NewBroadcastCoordinator(1)})
 	client, err := DialSite(core.NewBroadcastSite(0, hasher), addr)
 	if err != nil {
 		t.Fatal(err)
@@ -188,37 +200,52 @@ func TestTCPRejectsBroadcastCoordinator(t *testing.T) {
 }
 
 func TestTCPProtocolErrors(t *testing.T) {
-	_, addr := startServer(t, core.NewInfiniteCoordinator(2))
-
-	send := func(frames ...Frame) Frame {
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
-		enc := json.NewEncoder(conn)
-		dec := json.NewDecoder(bufio.NewReader(conn))
-		var last Frame
-		for _, f := range frames {
-			if err := enc.Encode(f); err != nil {
-				t.Fatal(err)
-			}
-			if err := dec.Decode(&last); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return last
-	}
+	srv, addr := startServer(t, core.NewInfiniteCoordinator(2))
 
 	// Offer before hello.
-	resp := send(Frame{Type: FrameOffer, Msg: &netsim.Message{Kind: netsim.KindOffer, Key: "x", Hash: 0.5}})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fc := clientConn(conn)
+	if err := writeFlush(fc, &Frame{Type: FrameOffer, Msg: &netsim.Message{Kind: netsim.KindOffer, Key: "x", Hash: 0.5}}); err != nil {
+		t.Fatal(err)
+	}
+	var resp Frame
+	if err := fc.ReadFrame(&resp); err != nil {
+		t.Fatal(err)
+	}
 	if resp.Type != FrameError {
 		t.Fatalf("expected error frame, got %+v", resp)
 	}
-	// Unknown frame type.
-	resp = send(Frame{Type: "bogus"})
+	// Unknown frame type: a frame kind the dispatch loop does not know is
+	// answered with an error frame (reachable through the in-memory
+	// transport, which passes frames undecoded) ...
+	mem := srv.ServeMem()
+	defer mem.Close()
+	if err := writeFlush(mem, &Frame{Type: "bogus"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := mem.ReadFrame(&resp); err != nil {
+		t.Fatal(err)
+	}
 	if resp.Type != FrameError {
 		t.Fatalf("expected error frame, got %+v", resp)
+	}
+	// ... and an unknown binary code fails to decode, so the server drops
+	// the connection.
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	bogus := append(append(binMagic[:], binary.LittleEndian.AppendUint32(nil, 1)...), 0x7f)
+	if _, err := raw.Write(bogus); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := raw.Read(make([]byte, 1)); err == nil {
+		t.Fatal("expected the server to drop a connection sending an unknown frame code")
 	}
 	// Dialing a dead address fails cleanly.
 	if _, err := DialSite(core.NewInfiniteSite(0, hashing.NewMurmur2(1)), "127.0.0.1:1"); err == nil {
