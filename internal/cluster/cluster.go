@@ -35,7 +35,7 @@ package cluster
 
 import (
 	"errors"
-	"sort"
+	"slices"
 
 	"repro/internal/estimate"
 	"repro/internal/hashing"
@@ -99,37 +99,62 @@ func (r *ShardRouter) Shard(key string) int {
 }
 
 // Merge unions per-shard samples and returns the bottom-s of the union,
-// ordered by ascending hash — exactly the global sample a single coordinator
-// over the whole stream would hold, provided the shard samples come from a
-// disjoint partition of the key space under the same hash function AND
-// sampleSize does not exceed any shard's own sketch capacity: a shard only
-// retains its bottom-s, so asking the merge for more than s entries can
-// silently substitute larger hashes for a shard's discarded ones.
-// sampleSize <= 0 keeps the whole union (useful for sliding-window merges,
-// where each shard contributes at most one live entry and the global sample
-// is the overall minimum).
+// ordered by ascending (hash, key) — exactly the global sample a single
+// coordinator over the whole stream would hold, provided the shard samples
+// come from a disjoint partition of the key space under the same hash
+// function AND sampleSize does not exceed any shard's own sketch capacity: a
+// shard only retains its bottom-s, so asking the merge for more than s
+// entries can silently substitute larger hashes for a shard's discarded
+// ones. sampleSize <= 0 keeps the whole union (useful for sliding-window
+// merges, where each shard contributes at most one live entry and the global
+// sample is the overall minimum).
+//
+// Shard samples arrive sorted (every sampler's Sample is), so Merge is a
+// k-way merge that stops after sampleSize entries; an unsorted input is
+// sorted in a copy first. Equal (hash, key) entries — replicated copies of
+// one shard's state — collapse to one, and the earliest input's copy (its
+// Expiry) wins. Because every party hashes with one shared function, a key
+// never appears under two hashes, so this is the union deduplicated by key.
 func Merge(sampleSize int, shardSamples ...[]netsim.SampleEntry) []netsim.SampleEntry {
-	var union []netsim.SampleEntry
-	seen := make(map[string]struct{})
+	inputs := make([][]netsim.SampleEntry, 0, len(shardSamples))
+	total := 0
 	for _, sample := range shardSamples {
-		for _, e := range sample {
-			if _, dup := seen[e.Key]; dup {
-				continue
+		if len(sample) == 0 {
+			continue
+		}
+		if !slices.IsSortedFunc(sample, netsim.CompareEntries) {
+			sample = slices.Clone(sample)
+			slices.SortStableFunc(sample, netsim.CompareEntries)
+		}
+		inputs = append(inputs, sample)
+		total += len(sample)
+	}
+	if total == 0 {
+		return nil
+	}
+	if sampleSize > 0 && sampleSize < total {
+		total = sampleSize
+	}
+	out := make([]netsim.SampleEntry, 0, total)
+	for len(out) < total {
+		// The smallest head; on a tie the earliest input wins.
+		best := -1
+		for i, in := range inputs {
+			if len(in) > 0 && (best < 0 || netsim.CompareEntries(in[0], inputs[best][0]) < 0) {
+				best = i
 			}
-			seen[e.Key] = struct{}{}
-			union = append(union, e)
 		}
-	}
-	sort.Slice(union, func(i, j int) bool {
-		if union[i].Hash != union[j].Hash {
-			return union[i].Hash < union[j].Hash
+		if best < 0 {
+			break
 		}
-		return union[i].Key < union[j].Key
-	})
-	if sampleSize > 0 && len(union) > sampleSize {
-		union = union[:sampleSize]
+		e := inputs[best][0]
+		inputs[best] = inputs[best][1:]
+		if n := len(out); n > 0 && out[n-1].Hash == e.Hash && out[n-1].Key == e.Key {
+			continue
+		}
+		out = append(out, e)
 	}
-	return union
+	return out
 }
 
 // MergeWindow unions per-shard sliding-window candidate sets, drops entries

@@ -21,12 +21,12 @@ type BroadcastSite struct {
 	id      int
 	hasher  hashing.UnitHasher
 	u       float64
-	offered map[string]float64
+	offered *bottomSet
 }
 
 // NewBroadcastSite constructs a Broadcast site with index id.
 func NewBroadcastSite(id int, hasher hashing.UnitHasher) *BroadcastSite {
-	return &BroadcastSite{id: id, hasher: hasher, u: 1, offered: make(map[string]float64)}
+	return &BroadcastSite{id: id, hasher: hasher, u: 1, offered: newMemo()}
 }
 
 // ID implements netsim.SiteNode.
@@ -41,10 +41,9 @@ func (s *BroadcastSite) OnArrival(key string, _ int64, out *netsim.Outbox) {
 	if h >= s.u {
 		return
 	}
-	if _, already := s.offered[key]; already {
-		return
+	if !s.offered.Offer(key, h) {
+		return // already offered
 	}
-	s.offered[key] = h
 	out.ToCoordinator(netsim.Message{Kind: netsim.KindOffer, Key: key, Hash: h})
 }
 
@@ -54,18 +53,14 @@ func (s *BroadcastSite) OnMessage(msg netsim.Message, _ int64, _ *netsim.Outbox)
 		return
 	}
 	s.u = msg.U
-	for key, h := range s.offered {
-		if h >= s.u {
-			delete(s.offered, key)
-		}
-	}
+	s.offered.pruneFrom(s.u)
 }
 
 // OnSlotEnd implements netsim.SiteNode.
 func (s *BroadcastSite) OnSlotEnd(int64, *netsim.Outbox) {}
 
 // Memory implements netsim.SiteNode.
-func (s *BroadcastSite) Memory() int { return 1 + len(s.offered) }
+func (s *BroadcastSite) Memory() int { return 1 + s.offered.Len() }
 
 // BroadcastCoordinator is the coordinator half of Algorithm Broadcast. On
 // every offer that changes the threshold u it broadcasts the new u to every

@@ -23,28 +23,34 @@ import (
 // non-increasing), so the key is guaranteed to be in this memo; suppression
 // therefore never loses information the coordinator does not already have.
 // The memo only retains keys below the current threshold, so its expected
-// size is O(s). NewNaiveInfiniteSite builds the literal-pseudocode site for
-// the ablation experiment that quantifies the difference.
+// size is O(s). It is the coordinator's run-list set (bottomSet) without a
+// capacity, ordered by (hash, key): a lookup or insert costs O(log s) plus a
+// move within one run, and a threshold reply pops the tail entries with
+// hash >= u instead of walking every key. The site computes each hash itself
+// with the shared function, so a key always carries the same hash and
+// (hash, key) membership is key membership. NewNaiveInfiniteSite builds the
+// literal-pseudocode site for the ablation experiment that quantifies the
+// difference.
 type InfiniteSite struct {
 	id      int
 	hasher  hashing.UnitHasher
 	u       float64
-	offered map[string]float64 // keys already sent whose hash is still < u
-	naive   bool               // literal Algorithm 1: no duplicate suppression
+	offered *bottomSet // keys already sent whose hash is still < u
+	naive   bool       // literal Algorithm 1: no duplicate suppression
 }
 
 // NewInfiniteSite constructs the site with index id. All sites and the
 // coordinator must share the same hash function, mirroring the paper's
 // initialization step in which the coordinator distributes h.
 func NewInfiniteSite(id int, hasher hashing.UnitHasher) *InfiniteSite {
-	return &InfiniteSite{id: id, hasher: hasher, u: 1, offered: make(map[string]float64)}
+	return &InfiniteSite{id: id, hasher: hasher, u: 1, offered: newMemo()}
 }
 
 // NewNaiveInfiniteSite constructs a site that follows Algorithm 1 to the
 // letter: strictly one float of state, but repeats of currently-sampled
 // elements are re-offered. Used by the duplicate-suppression ablation.
 func NewNaiveInfiniteSite(id int, hasher hashing.UnitHasher) *InfiniteSite {
-	return &InfiniteSite{id: id, hasher: hasher, u: 1, naive: true}
+	return &InfiniteSite{id: id, hasher: hasher, u: 1, offered: newMemo(), naive: true}
 }
 
 // ID implements netsim.SiteNode.
@@ -62,11 +68,8 @@ func (s *InfiniteSite) OnArrival(key string, _ int64, out *netsim.Outbox) {
 	if h >= s.u {
 		return
 	}
-	if !s.naive {
-		if _, already := s.offered[key]; already {
-			return
-		}
-		s.offered[key] = h
+	if !s.naive && !s.offered.Offer(key, h) {
+		return // already offered
 	}
 	out.ToCoordinator(netsim.Message{Kind: netsim.KindOffer, Key: key, Hash: h})
 }
@@ -79,11 +82,7 @@ func (s *InfiniteSite) OnMessage(msg netsim.Message, _ int64, _ *netsim.Outbox) 
 		return
 	}
 	s.u = msg.U
-	for key, h := range s.offered {
-		if h >= s.u {
-			delete(s.offered, key)
-		}
-	}
+	s.offered.pruneFrom(s.u)
 }
 
 // OnSlotEnd implements netsim.SiteNode. The infinite-window site has no
@@ -91,7 +90,7 @@ func (s *InfiniteSite) OnMessage(msg netsim.Message, _ int64, _ *netsim.Outbox) 
 func (s *InfiniteSite) OnSlotEnd(int64, *netsim.Outbox) {}
 
 // Memory implements netsim.SiteNode: the threshold plus the duplicate memo.
-func (s *InfiniteSite) Memory() int { return 1 + len(s.offered) }
+func (s *InfiniteSite) Memory() int { return 1 + s.offered.Len() }
 
 // InfiniteCoordinator is the coordinator half of the infinite-window
 // protocol (Algorithm 2). It keeps the sample P (the bottom-s set of hashes

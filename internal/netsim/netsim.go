@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/stream"
@@ -88,6 +89,18 @@ type SampleEntry struct {
 	Key    string
 	Hash   float64
 	Expiry int64
+}
+
+// CompareEntries orders sample entries by ascending hash, then key: the
+// order of every sample the samplers return and of merged cluster samples.
+func CompareEntries(a, b SampleEntry) int {
+	switch {
+	case a.Hash < b.Hash:
+		return -1
+	case a.Hash > b.Hash:
+		return 1
+	}
+	return strings.Compare(a.Key, b.Key)
 }
 
 // Envelope is a routed message: a destination plus the payload.
