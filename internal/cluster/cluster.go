@@ -90,8 +90,12 @@ func (r *ShardRouter) Table() RangeTable { return r.table.clone() }
 // function coordinators need installed (wire.CoordinatorServer.SetRouteHash)
 // to filter sample entries by range during resharding.
 func (r *ShardRouter) RouteHash(key string) uint64 {
-	return hashing.Mix64(r.hasher.Hash(key))
+	return hashing.Mix64(r.digest(key))
 }
+
+// digest returns the shared hash function's 64-bit digest of key, from
+// which both the routing hash (Mix64) and the sample hash (ToUnit) derive.
+func (r *ShardRouter) digest(key string) uint64 { return r.hasher.Hash(key) }
 
 // Shard returns the shard slot owning key under the router's table.
 func (r *ShardRouter) Shard(key string) int {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/hashing"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/wire"
@@ -150,12 +151,12 @@ func (s *Server) MergedSample(sampleSize int) []netsim.SampleEntry {
 // renews, then by force-promoting the next member — Options.RetryMax and
 // Options.RetryBase set that policy.
 type SiteClient struct {
-	routeHash func(string) uint64
-	newSite   func(shard int) netsim.SiteNode
-	opts      wire.Options
-	table     RangeTable
-	groups    [][]string   // slot-indexed member addresses (nil = retired slot)
-	shards    []*shardConn // slot-indexed; nil for slots never dialed
+	digest  func(string) uint64
+	newSite func(shard int) netsim.SiteNode
+	opts    wire.Options
+	table   RangeTable
+	groups  [][]string   // slot-indexed member addresses (nil = retired slot)
+	shards  []*shardConn // slot-indexed; nil for slots never dialed
 
 	// pendingRoute is the cross-goroutine mailbox of the reshard driver;
 	// routeVer publishes the applied table version and closed the client's
@@ -213,7 +214,9 @@ func DialSites(addrs []string, router *ShardRouter, newSite func(shard int) nets
 // router's table does not route to may be nil (retired by resharding);
 // every routed slot must have at least one member. The site initially dials
 // each routed group's current primary, determined by probing the members'
-// epochs.
+// epochs. newSite must build sites over the router's hash function:
+// Observe hands each site the unit hash of the router's digest rather than
+// letting it hash the key a second time.
 func DialGroups(groups [][]string, router *ShardRouter, newSite func(shard int) netsim.SiteNode, opts wire.Options) (*SiteClient, error) {
 	if len(groups) == 0 {
 		return nil, ErrNoShards
@@ -223,12 +226,12 @@ func DialGroups(groups [][]string, router *ShardRouter, newSite func(shard int) 
 		return nil, fmt.Errorf("cluster: %d shard groups for a router whose table names slot %d", len(groups), table.MaxSlot())
 	}
 	c := &SiteClient{
-		routeHash: router.RouteHash,
-		newSite:   newSite,
-		opts:      opts,
-		table:     table,
-		groups:    cloneGroups(groups),
-		shards:    make([]*shardConn, len(groups)),
+		digest:  router.digest,
+		newSite: newSite,
+		opts:    opts,
+		table:   table,
+		groups:  cloneGroups(groups),
+		shards:  make([]*shardConn, len(groups)),
 	}
 	c.routeVer.Store(c.table.Version)
 	// Fold coordinator-initiated route pushes into the same mailbox the
@@ -804,7 +807,8 @@ func (c *SiteClient) maybeApplyRoute() error {
 // flip: every live instance that implements core.Snapshotter is snapshotted,
 // entries whose keys now route elsewhere move to the owning slot's instance
 // (merged under the sampler kind's own union semantics), and each instance
-// is restored to exactly the keys it owns under the new table. Site nodes
+// is restored to exactly the keys it owns under the new table. An instance
+// that receives tuples comes back without a candidate (see below). Site nodes
 // without snapshots (the infinite-window site's threshold-and-memo state is
 // per-shard-valid as is) are left untouched.
 func (c *SiteClient) repartitionSiteState() error {
@@ -849,6 +853,18 @@ func (c *SiteClient) repartitionSiteState() error {
 	for i := range snaps {
 		s := &snaps[i]
 		if in := moved[s.slot]; len(in) > 0 {
+			// The moved tuples were filtered against their old instance's
+			// candidate, not this one's, so one that hashes below this
+			// instance's candidate may never have reached a coordinator.
+			// Dropping the candidate (its tuple stays in the store) leaves the
+			// instance sample-less: its next slot end promotes and reports the
+			// merged store's minimum, and the reply restores a candidate.
+			for j := range s.st.Sections {
+				if cand := s.st.Sections[j].Candidate; cand != nil {
+					in = append(in, *cand)
+					s.st.Sections[j].Candidate = nil
+				}
+			}
 			incoming := core.State{
 				Version:    s.st.Version,
 				Kind:       s.st.Kind,
@@ -870,13 +886,20 @@ func (c *SiteClient) repartitionSiteState() error {
 	return nil
 }
 
-// Observe routes one element observation to its owning shard.
+// routeHash is the routing hash of key, as ShardRouter.RouteHash.
+func (c *SiteClient) routeHash(key string) uint64 { return hashing.Mix64(c.digest(key)) }
+
+// Observe routes one element observation to its owning shard. The key is
+// hashed once: the routing hash and the hash the shard's site filters on
+// both derive from one digest.
 func (c *SiteClient) Observe(key string, slot int64) error {
 	if err := c.maybeApplyRoute(); err != nil {
 		return err
 	}
-	shard := c.table.Lookup(c.routeHash(key))
-	return c.do(shard, func(client *wire.SiteClient) error { return client.Observe(key, slot) })
+	d := c.digest(key)
+	shard := c.table.Lookup(hashing.Mix64(d))
+	h := hashing.ToUnit(d)
+	return c.do(shard, func(client *wire.SiteClient) error { return client.ObserveHashed(key, h, slot) })
 }
 
 // fanOut runs op on every shard connection concurrently (with per-shard

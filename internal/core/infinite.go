@@ -60,11 +60,16 @@ func (s *InfiniteSite) ID() int { return s.id }
 // invariant checks).
 func (s *InfiniteSite) Threshold() float64 { return s.u }
 
-// OnArrival implements netsim.SiteNode: if h(e) < u_i (and, unless the site
-// is naive, e has not been offered before), send e and its hash to the
+// OnArrival implements netsim.SiteNode by hashing key for OnHashedArrival.
+func (s *InfiniteSite) OnArrival(key string, slot int64, out *netsim.Outbox) {
+	s.OnHashedArrival(key, s.hasher.Unit(key), slot, out)
+}
+
+// OnHashedArrival is OnArrival on a precomputed h = h(e), the form
+// wire.SiteClient.ObserveHashed feeds: if h < u_i (and, unless the site is
+// naive, e has not been offered before), send e and its hash to the
 // coordinator.
-func (s *InfiniteSite) OnArrival(key string, _ int64, out *netsim.Outbox) {
-	h := s.hasher.Unit(key)
+func (s *InfiniteSite) OnHashedArrival(key string, h float64, _ int64, out *netsim.Outbox) {
 	if h >= s.u {
 		return
 	}

@@ -435,6 +435,11 @@ func DecodeState(data []byte) (State, error) {
 		if sd.err == nil && count > uint64(len(sd.buf))+1 {
 			return State{}, fmt.Errorf("core: implausible entry count %d in encoded snapshot section", count)
 		}
+		// The check above bounds count by the section's length, so it can
+		// size the entries once.
+		if sd.err == nil && count > 0 {
+			sec.Entries = make([]netsim.SampleEntry, 0, count)
+		}
 		for j := uint64(0); j < count && sd.err == nil; j++ {
 			sec.Entries = append(sec.Entries, sd.entry())
 		}

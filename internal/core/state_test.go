@@ -197,3 +197,23 @@ func TestMergeStatesUnionSemantics(t *testing.T) {
 		t.Fatal("merged an infinite state with a with-replacement one")
 	}
 }
+
+// BenchmarkDecodeState times decoding the state of a full s = 16384
+// infinite-window sample, the frame a replica applies each sync round.
+func BenchmarkDecodeState(b *testing.B) {
+	hasher := hashing.NewMurmur2(3)
+	c := NewInfiniteCoordinator(16384)
+	for i := 0; i < 4*16384; i++ {
+		key := fmt.Sprintf("decode-key-%d", i)
+		c.Offer(Offer{Key: key, Hash: hasher.Unit(key)})
+	}
+	enc := EncodeState(c.Snapshot())
+	b.ReportAllocs()
+	b.SetBytes(int64(len(enc)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := DecodeState(enc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

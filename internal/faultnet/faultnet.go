@@ -172,6 +172,10 @@ func (c *Conn) Flush() error {
 	return c.inner.Flush()
 }
 
+// FrameBuffered implements wire.FrameConn. It always answers false: a
+// throttled or cut read may wait whatever the inner conn holds.
+func (c *Conn) FrameBuffered() bool { return false }
+
 // Injector wraps every connection a subsystem dials with fault-injected
 // conns under one scenario, deriving each conn's seed deterministically from
 // the base seed and the wrap order (dial order is deterministic in the

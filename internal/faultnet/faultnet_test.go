@@ -19,6 +19,7 @@ type nullConn struct{}
 func (nullConn) WriteFrame(*wire.Frame) error { return nil }
 func (nullConn) ReadFrame(*wire.Frame) error  { return errors.New("nullConn: no frames") }
 func (nullConn) Flush() error                 { return nil }
+func (nullConn) FrameBuffered() bool          { return false }
 
 // pump drives a fixed frame sequence through a conn and returns its trace.
 func pump(seed int64, sc Scenario) []string {

@@ -11,7 +11,8 @@ package hashing
 //  3. Distinctness: collisions are negligible (64-bit digests), matching the
 //     paper's assumption that hash outputs for different elements differ.
 type UnitHasher interface {
-	// Unit returns the hash of key mapped into [0, 1).
+	// Unit returns the hash of key mapped into [0, 1): ToUnit(Hash(key)),
+	// so a caller holding the digest never needs to hash key again.
 	Unit(key string) float64
 	// Hash returns the raw 64-bit digest of key.
 	Hash(key string) uint64

@@ -83,13 +83,18 @@ func (s *Site) Threshold() float64 {
 // still inside the window.
 func (s *Site) expiryFor(slot int64) int64 { return slot + s.window - 1 }
 
-// OnArrival implements netsim.SiteNode (Algorithm 3, lines 3-15).
+// OnArrival implements netsim.SiteNode by hashing key for OnHashedArrival.
 func (s *Site) OnArrival(key string, slot int64, out *netsim.Outbox) {
+	s.OnHashedArrival(key, s.hasher.Unit(key), slot, out)
+}
+
+// OnHashedArrival is OnArrival on a precomputed h = h(key), the form
+// wire.SiteClient.ObserveHashed feeds (Algorithm 3, lines 3-15).
+func (s *Site) OnHashedArrival(key string, h float64, slot int64, out *netsim.Outbox) {
 	// Drop tuples that have fallen out of the window before doing anything
 	// else (Algorithm 3 line 10).
 	s.store.ExpireBefore(slot)
 
-	h := s.hasher.Unit(key)
 	expiry := s.expiryFor(slot)
 	// Insert or refresh the tuple; dominated tuples are pruned inside.
 	s.store.Observe(key, h, expiry)

@@ -13,9 +13,11 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Element is one observation of the logical (pre-distribution) stream.
@@ -167,32 +169,110 @@ func Write(w io.Writer, elements []Element) error {
 	return bw.Flush()
 }
 
-// Read decodes a stream previously encoded by Write.
+// maxLine bounds one line of a stream file, its '\n' included: a longer
+// line fails Read with bufio.ErrTooLong.
+const maxLine = 1024 * 1024
+
+// Read decodes a stream previously encoded by Write. Lines are split on
+// '\n' with one trailing '\r' dropped, blank lines are skipped, and a line
+// that does not fit in 1 MiB with its newline fails with bufio.ErrTooLong.
+//
+// Read loads the whole input into one string and every returned Key is a
+// substring of it: the keys alias one string per input, so retaining any
+// key retains the whole file. Memory is the file size plus 24 B per element
+// (the Element itself); there is no allocation per line.
 func Read(r io.Reader) ([]Element, error) {
-	var elements []Element
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
+	text, readErr := readAll(r)
+	elements := make([]Element, 0, strings.Count(text, "\n")+1)
 	line := 0
-	for sc.Scan() {
+	for rest := text; rest != ""; {
 		line++
-		text := sc.Text()
-		if text == "" {
+		var raw string
+		i := strings.IndexByte(rest, '\n')
+		if i < 0 {
+			raw, rest = rest, ""
+		} else {
+			raw, rest = rest[:i], rest[i+1:]
+		}
+		if len(raw) >= maxLine {
+			return nil, fmt.Errorf("stream: read: %w", bufio.ErrTooLong)
+		}
+		if n := len(raw); n > 0 && raw[n-1] == '\r' {
+			raw = raw[:n-1]
+		}
+		if raw == "" {
 			continue
 		}
-		slotStr, key, found := strings.Cut(text, "\t")
+		slotStr, key, found := strings.Cut(raw, "\t")
 		if !found {
 			return nil, fmt.Errorf("stream: line %d: missing tab separator", line)
 		}
-		slot, err := strconv.ParseInt(slotStr, 10, 64)
+		slot, err := parseSlot(slotStr)
 		if err != nil {
 			return nil, fmt.Errorf("stream: line %d: bad slot: %w", line, err)
 		}
 		elements = append(elements, Element{Key: key, Slot: slot})
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("stream: read: %w", err)
+	if readErr != nil {
+		return nil, fmt.Errorf("stream: read: %w", readErr)
 	}
 	return elements, nil
+}
+
+// readAll reads r to EOF into one string, allocating once when r can tell
+// its size (a file, or an in-memory reader). It returns what it read before
+// any error, so Read reports a line's error ahead of a later read failure,
+// in input order.
+func readAll(r io.Reader) (string, error) {
+	size := 0
+	switch v := r.(type) {
+	case interface{ Len() int }:
+		size = v.Len()
+	case interface{ Stat() (os.FileInfo, error) }:
+		if fi, err := v.Stat(); err == nil && fi.Mode().IsRegular() {
+			size = int(fi.Size())
+		}
+	}
+	// One spare byte lets the final Read see EOF without growing buf.
+	buf := make([]byte, 0, max(size+1, 512))
+	var err error
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		var n int
+		n, err = r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err != nil {
+			break
+		}
+	}
+	if err == io.EOF {
+		err = nil
+	}
+	if len(buf) == 0 {
+		return "", err
+	}
+	// buf is never written again, so the string may share its memory.
+	return unsafe.String(&buf[0], len(buf)), err
+}
+
+// parseSlot parses a decimal slot. Up to 18 plain digits cannot overflow an
+// int64 and take the fast path; anything else (a sign, more digits, a
+// non-digit) goes to strconv.ParseInt, which also builds every error.
+func parseSlot(s string) (int64, error) {
+	if n := len(s); n == 0 || n > 18 {
+		return strconv.ParseInt(s, 10, 64)
+	}
+	var v int64
+	for i := 0; i < len(s); i++ {
+		d := s[i] - '0'
+		if d > 9 {
+			return strconv.ParseInt(s, 10, 64)
+		}
+		v = v*10 + int64(d)
+	}
+	return v, nil
 }
 
 // Keys extracts the key sequence of a stream.

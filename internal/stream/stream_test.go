@@ -1,11 +1,17 @@
 package stream
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
+	"fmt"
+	"io"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 )
 
@@ -234,5 +240,156 @@ func TestSummarizeMatchesDistinctKeys(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// scannerRead is the line reader Read replaced, kept as the oracle Read must
+// match element for element and error for error.
+func scannerRead(r io.Reader) ([]Element, error) {
+	var elements []Element
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
+	line := 0
+	for sc.Scan() {
+		line++
+		text := sc.Text()
+		if text == "" {
+			continue
+		}
+		slotStr, key, found := strings.Cut(text, "\t")
+		if !found {
+			return nil, fmt.Errorf("stream: line %d: missing tab separator", line)
+		}
+		slot, err := strconv.ParseInt(slotStr, 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("stream: line %d: bad slot: %w", line, err)
+		}
+		elements = append(elements, Element{Key: key, Slot: slot})
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("stream: read: %w", err)
+	}
+	return elements, nil
+}
+
+// checkAgainstOracle fails t unless Read and scannerRead agree on input.
+func checkAgainstOracle(t *testing.T, input string) {
+	t.Helper()
+	got, gotErr := Read(strings.NewReader(input))
+	want, wantErr := scannerRead(strings.NewReader(input))
+	if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+		t.Fatalf("error %v, oracle %v (input %.60q)", gotErr, wantErr, input)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d elements, oracle %d (input %.60q)", len(got), len(want), input)
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("element %d = %+v, oracle %+v (input %.60q)", i, got[i], want[i], input)
+		}
+	}
+}
+
+// readSeeds are the edge cases of the line format: CRLF, blank lines, no
+// final newline, signed and zero-padded slots, int64 overflow, the 1 MiB
+// line limit on both sides, and a missing tab.
+func readSeeds() []string {
+	long := strings.Repeat("k", 1024*1024)
+	return []string{
+		"",
+		"1\ta\r\n2\tb\r\n",
+		"\n\n1\ta\n\n\r\n2\tb\n",
+		"1\ta\n2\tb",
+		"+5\tplus\n",
+		"-3\tminus\n",
+		"007\tpadded\n",
+		"9223372036854775807\tmax\n",
+		"9223372036854775808\toverflow\n",
+		"1234567890123456789\tnineteen\n",
+		"\tempty-slot\n",
+		"1\t\n",
+		"1\tx\r\r\n",
+		"1\ta\n0\t" + long + "\n",
+		"1\ta\n0\t" + long[:1024*1024-3] + "\n",
+		"1\ta\n0\t" + long[:1024*1024-3],
+		"0\t" + long[:1024*1024-2],
+		"1\ta\nmissing separator\n2\tb\n",
+		"x\ta\n0\t" + long + "\n",
+	}
+}
+
+func TestReadMatchesScanner(t *testing.T) {
+	for _, in := range readSeeds() {
+		checkAgainstOracle(t, in)
+	}
+}
+
+func FuzzRead(f *testing.F) {
+	for _, in := range readSeeds() {
+		f.Add(in)
+	}
+	f.Fuzz(func(t *testing.T, input string) {
+		checkAgainstOracle(t, input)
+	})
+}
+
+// TestReadReportsReadErrorAfterLines checks the order of a failing reader's
+// errors: a bad line read before the failure is reported first, as the
+// scanner did, and clean lines are followed by the read error.
+func TestReadReportsReadErrorAfterLines(t *testing.T) {
+	boom := errors.New("boom")
+	for _, in := range []string{"1\ta\nbad\n", "1\ta\n2\tb"} {
+		_, gotErr := Read(io.MultiReader(strings.NewReader(in), iotest.ErrReader(boom)))
+		_, wantErr := scannerRead(io.MultiReader(strings.NewReader(in), iotest.ErrReader(boom)))
+		if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
+			t.Fatalf("input %q: error %v, oracle %v", in, gotErr, wantErr)
+		}
+	}
+}
+
+// TestReadAllocsFlat pins the allocation profile: the input string and the
+// element slice, whatever the line count.
+func TestReadAllocsFlat(t *testing.T) {
+	allocs := func(lines int) float64 {
+		var buf bytes.Buffer
+		for i := 0; i < lines; i++ {
+			fmt.Fprintf(&buf, "%d\tkey-%d\n", i/7, i)
+		}
+		in := buf.Bytes()
+		return testing.AllocsPerRun(20, func() {
+			if _, err := Read(bytes.NewReader(in)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(10), allocs(10000)
+	if large > small || large > 3 {
+		t.Fatalf("allocs per Read: %v at 10 lines, %v at 10000 lines; want flat and at most 3", small, large)
+	}
+}
+
+// BenchmarkStreamRead times Read against the scanner it replaced on the same
+// 100k-line input.
+func BenchmarkStreamRead(b *testing.B) {
+	const lines = 100000
+	var buf bytes.Buffer
+	for i := 0; i < lines; i++ {
+		fmt.Fprintf(&buf, "%d\t10.0.%d.%d->10.1.%d.%d\n", i/1000, i%251, i%241, i%239, i%233)
+	}
+	in := buf.Bytes()
+	for _, r := range []struct {
+		name string
+		read func(io.Reader) ([]Element, error)
+	}{{"Read", Read}, {"scanner", scannerRead}} {
+		b.Run(r.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(in)))
+			for i := 0; i < b.N; i++ {
+				if _, err := r.read(bytes.NewReader(in)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lines), "ns/element")
+		})
 	}
 }

@@ -115,10 +115,16 @@ var nameToBin = map[string]byte{
 // Callers must Flush before blocking on a response — the pipelined writer
 // exploits this to coalesce several frames into one syscall, flushing only
 // when it is about to wait for credits.
+//
+// FrameBuffered reports whether a whole frame is already buffered, so that
+// the next ReadFrame returns without waiting on the peer. It is a hint for
+// the reading goroutine only: false is always a safe answer, and
+// connections that cannot tell return it.
 type frameConn interface {
 	ReadFrame(f *Frame) error
 	WriteFrame(f *Frame) error
 	Flush() error
+	FrameBuffered() bool
 }
 
 // FrameConn is the exported face of the transport seam: anything that reads
@@ -150,6 +156,18 @@ func newBinConn(r *bufio.Reader, w io.Writer) *binConn {
 }
 
 func (c *binConn) Flush() error { return c.w.Flush() }
+
+// FrameBuffered implements frameConn: the length prefix and the whole
+// payload it announces are in the read buffer. Peek does not read here,
+// since the 4 bytes it asks for are already buffered.
+func (c *binConn) FrameBuffered() bool {
+	n := c.r.Buffered()
+	if n < 4 {
+		return false
+	}
+	prefix, _ := c.r.Peek(4)
+	return uint64(n-4) >= uint64(binary.LittleEndian.Uint32(prefix))
+}
 
 // clientConn builds the client half of a fresh connection. The preamble is
 // buffered ahead of the first frame, so both leave in one write.

@@ -125,6 +125,13 @@ func (c *MemConn) WriteFrame(f *Frame) error { return c.write.push(f) }
 // Flush implements frameConn.
 func (c *MemConn) Flush() error { return nil }
 
+// FrameBuffered implements frameConn: a queued frame is always whole.
+func (c *MemConn) FrameBuffered() bool {
+	c.read.mu.Lock()
+	defer c.read.mu.Unlock()
+	return len(c.read.frames) > 0
+}
+
 // Close tears down both directions. Pending and future reads on either end
 // fail once buffered frames are drained; pending and future writes fail
 // immediately.
@@ -168,7 +175,7 @@ func (s *CoordinatorServer) ServeMem() *MemConn {
 // encoded.
 func DialSiteMem(node netsim.SiteNode, srv *CoordinatorServer, opts Options) (*SiteClient, error) {
 	fc := srv.ServeMem()
-	c := &SiteClient{node: node, conn: fc, fc: fc, opts: opts}
+	c := newSiteClient(node, fc, fc, opts)
 	if err := writeFlush(c.fc, &Frame{Type: FrameHello, Site: node.ID()}); err != nil {
 		fc.Close()
 		return nil, err

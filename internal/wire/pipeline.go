@@ -87,7 +87,7 @@ func (c *SiteClient) failPipe(err error) {
 
 // pipeObserve is Observe in pipelined mode: run the site callback, buffer
 // its messages, and ship any full batches without waiting for replies.
-func (c *SiteClient) pipeObserve(key string, slot int64) error {
+func (c *SiteClient) pipeObserve(key string, h float64, hashed bool, slot int64) error {
 	batchSize := c.opts.BatchSize
 	if batchSize < 1 {
 		batchSize = 1
@@ -98,7 +98,7 @@ func (c *SiteClient) pipeObserve(key string, slot int64) error {
 		return err
 	}
 	c.scratch.Reset()
-	c.node.OnArrival(key, slot, &c.scratch)
+	c.arrive(key, h, hashed, slot)
 	err := c.bufferLocked(slot)
 	full := len(c.pending) >= batchSize
 	c.mu.Unlock()
@@ -296,10 +296,22 @@ func (c *SiteClient) pipeFlush() error {
 // messages the node emits in response for the next batch), and returns
 // credits to the writer. It exits on the first error or when the connection
 // closes.
+//
+// A replies frame returns credit, but the reader wakes the credit-stalled
+// writer only once no whole frame is left in its read buffer: replies that
+// arrived together all reach the node first, so the writer resumes on the
+// freshest threshold and sends fewer offers the coordinator would reject.
+// The wake is never held across a read that can block, whatever frame kind
+// came last.
 func (c *SiteClient) readLoop() {
 	defer close(c.pipe.done)
 	var f Frame
+	wake := false // credit returned since the writer was last woken
 	for {
+		if wake && !c.fc.FrameBuffered() {
+			c.pipe.cond.Broadcast()
+			wake = false
+		}
 		if err := c.fc.ReadFrame(&f); err != nil {
 			c.mu.Lock()
 			c.failPipe(fmt.Errorf("wire: read replies: %w", err))
@@ -355,7 +367,7 @@ func (c *SiteClient) readLoop() {
 				}
 			}
 			c.pipe.ackSeq = f.Seq + 1
-			c.pipe.cond.Broadcast()
+			wake = true
 			c.mu.Unlock()
 			if !ok {
 				return

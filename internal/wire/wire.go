@@ -755,8 +755,18 @@ func (s *CoordinatorServer) serve(fc frameConn, closeConn io.Closer) {
 			if tc.Sampled() {
 				resp.SetTrace(tc.Child())
 			}
-			if err := writeFlush(fc, &resp); err != nil {
+			if err := fc.WriteFrame(&resp); err != nil {
 				return
+			}
+			// While the read pump holds more decoded frames, the replies
+			// stay buffered: the frames that follow flush them (every frame
+			// kind ends in a flush, this one once the pump is empty), so the
+			// replies to a run of batches leave in one write and reach the
+			// site's reader together.
+			if len(frames) == 0 {
+				if err := fc.Flush(); err != nil {
+					return
+				}
 			}
 		case FrameQuery:
 			s.mu.Lock()
@@ -1128,10 +1138,11 @@ const DefaultWindow = 8
 // internal reader goroutine; mu serializes that reader's access to the site
 // node and shared buffers against the caller.
 type SiteClient struct {
-	node netsim.SiteNode
-	conn io.Closer
-	fc   frameConn
-	opts Options
+	node   netsim.SiteNode
+	hashed hashedSiteNode // node, when it takes precomputed hashes
+	conn   io.Closer
+	fc     frameConn
+	opts   Options
 
 	mu      sync.Mutex   // guards node, pending, counters when pipelining
 	pending []BatchEntry // buffered offers awaiting a batch flush
@@ -1164,7 +1175,7 @@ func DialSiteOptions(node netsim.SiteNode, addr string, opts Options) (*SiteClie
 	if err != nil {
 		return nil, fmt.Errorf("wire: dial: %w", err)
 	}
-	c := &SiteClient{node: node, conn: conn, fc: clientConn(conn), opts: opts}
+	c := newSiteClient(node, conn, clientConn(conn), opts)
 	if err := writeFlush(c.fc, &Frame{Type: FrameHello, Site: node.ID()}); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("wire: hello: %w", err)
@@ -1173,6 +1184,20 @@ func DialSiteOptions(node netsim.SiteNode, addr string, opts Options) (*SiteClie
 		c.startPipeline()
 	}
 	return c, nil
+}
+
+// hashedSiteNode is a site node whose arrival filter can take the key's
+// unit hash from the caller, as core.InfiniteSite and sliding.Site do: a
+// client that already hashed the key to route it passes that value on
+// through ObserveHashed, so each arrival costs one digest. h must equal the
+// node's own hash of key.
+type hashedSiteNode interface {
+	OnHashedArrival(key string, h float64, slot int64, out *netsim.Outbox)
+}
+
+func newSiteClient(node netsim.SiteNode, conn io.Closer, fc frameConn, opts Options) *SiteClient {
+	hashed, _ := node.(hashedSiteNode)
+	return &SiteClient{node: node, hashed: hashed, conn: conn, fc: fc, opts: opts}
 }
 
 // Abort closes the underlying transport immediately, without flushing
@@ -1253,12 +1278,34 @@ func (c *SiteClient) Replay(entries []BatchEntry) error {
 // whatever exchanges with the coordinator the protocol requires (possibly
 // deferred, when batching or pipelining is enabled).
 func (c *SiteClient) Observe(key string, slot int64) error {
+	return c.observe(key, 0, false, slot)
+}
+
+// ObserveHashed is Observe for a caller that has already computed key's
+// unit hash h with the site node's own hash function: a node with an
+// OnHashedArrival method filters on h instead of hashing key again, and any
+// other node ignores it.
+func (c *SiteClient) ObserveHashed(key string, h float64, slot int64) error {
+	return c.observe(key, h, true, slot)
+}
+
+func (c *SiteClient) observe(key string, h float64, hashed bool, slot int64) error {
 	if c.pipe != nil {
-		return c.pipeObserve(key, slot)
+		return c.pipeObserve(key, h, hashed, slot)
 	}
 	c.scratch.Reset()
-	c.node.OnArrival(key, slot, &c.scratch)
+	c.arrive(key, h, hashed, slot)
 	return c.flush(&c.scratch, slot)
+}
+
+// arrive runs the node's arrival callback into the scratch outbox, on the
+// caller's hash when there is one and the node takes it.
+func (c *SiteClient) arrive(key string, h float64, hashed bool, slot int64) {
+	if hashed && c.hashed != nil {
+		c.hashed.OnHashedArrival(key, h, slot, &c.scratch)
+		return
+	}
+	c.node.OnArrival(key, slot, &c.scratch)
 }
 
 // EndSlot signals the end of a time slot to the local site node (needed by
