@@ -426,6 +426,12 @@ func Open(ctx context.Context, cfg Config, opts ...Option) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
+	// A context cancelled before the dial never dials, and one cancelled
+	// while the dial ends wins over the dial's outcome: select picks among
+	// ready cases at random.
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	hasher := cfg.hasher()
 	newSite := func(shard int) netsim.SiteNode {
 		if cfg.window > 0 {
@@ -444,6 +450,12 @@ func Open(ctx context.Context, cfg Config, opts ...Option) (*Client, error) {
 	}()
 	select {
 	case d := <-done:
+		if err := ctx.Err(); err != nil {
+			if d.err == nil {
+				_ = d.sc.Close()
+			}
+			return nil, err
+		}
 		if d.err != nil {
 			return nil, fmt.Errorf("dds: open: %w", d.err)
 		}

@@ -56,6 +56,9 @@ func UniformTable(shards int) RangeTable {
 
 // Lookup returns the slot owning routing hash x.
 func (t RangeTable) Lookup(x uint64) int {
+	if len(t.Bounds) == 1 {
+		return t.Slots[0]
+	}
 	// The first bound is 0, so the search never returns 0.
 	i := sort.Search(len(t.Bounds), func(i int) bool { return t.Bounds[i] > x })
 	return t.Slots[i-1]

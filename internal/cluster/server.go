@@ -151,7 +151,7 @@ func (s *Server) MergedSample(sampleSize int) []netsim.SampleEntry {
 // renews, then by force-promoting the next member — Options.RetryMax and
 // Options.RetryBase set that policy.
 type SiteClient struct {
-	digest  func(string) uint64
+	hasher  hashing.UnitHasher // the router's: one digest per key routes and filters
 	newSite func(shard int) netsim.SiteNode
 	opts    wire.Options
 	table   RangeTable
@@ -226,7 +226,7 @@ func DialGroups(groups [][]string, router *ShardRouter, newSite func(shard int) 
 		return nil, fmt.Errorf("cluster: %d shard groups for a router whose table names slot %d", len(groups), table.MaxSlot())
 	}
 	c := &SiteClient{
-		digest:  router.digest,
+		hasher:  router.hasher,
 		newSite: newSite,
 		opts:    opts,
 		table:   table,
@@ -348,7 +348,23 @@ func (c *SiteClient) do(shard int, op func(*wire.SiteClient) error) error {
 // table and replay them to their owners.
 var errRerouted = errors.New("cluster: refused offers deferred for rerouting")
 
-// doRetry is do with an explicit stale-route budget. Three recovery paths:
+// doRetry is do with an explicit stale-route budget: it runs op once and
+// hands a failure to recoverFrom.
+func (c *SiteClient) doRetry(shard int, op func(*wire.SiteClient) error, staleBudget int, deferred *[]wire.BatchEntry) error {
+	sc := c.shards[shard]
+	if sc == nil || sc.client == nil {
+		return fmt.Errorf("cluster: no connection for shard slot %d", shard)
+	}
+	err := op(sc.client)
+	if err == nil {
+		return nil
+	}
+	return c.recoverFrom(shard, err, op, staleBudget, deferred)
+}
+
+// recoverFrom recovers the shard from err, the error an attempt of op
+// returned, and reruns op after each successful recovery until it succeeds
+// or recovery gives up. Three recovery paths:
 //
 //   - wire.ErrStaleRoute: the shard gave the key's range away in a reshard
 //     this client has not applied yet. Spend one budget unit healing:
@@ -365,18 +381,11 @@ var errRerouted = errors.New("cluster: refused offers deferred for rerouting")
 //     then force-promote (leaseWait).
 //   - anything else: the classic liveness path — probe, promote the next
 //     member, or re-dial a healthy primary once.
-func (c *SiteClient) doRetry(shard int, op func(*wire.SiteClient) error, staleBudget int, deferred *[]wire.BatchEntry) error {
+func (c *SiteClient) recoverFrom(shard int, err error, op func(*wire.SiteClient) error, staleBudget int, deferred *[]wire.BatchEntry) error {
 	sc := c.shards[shard]
-	if sc == nil || sc.client == nil {
-		return fmt.Errorf("cluster: no connection for shard slot %d", shard)
-	}
 	reconnected := false
 	leaseWaits := 0
-	for {
-		err := op(sc.client)
-		if err == nil {
-			return nil
-		}
+	for ; err != nil; err = op(sc.client) {
 		switch {
 		case errors.Is(err, wire.ErrStaleRoute):
 			if staleBudget <= 0 {
@@ -424,6 +433,7 @@ func (c *SiteClient) doRetry(shard int, op func(*wire.SiteClient) error, staleBu
 		}
 		return fmt.Errorf("cluster: shard %d: %w (failover: %v)", shard, err, ferr)
 	}
+	return nil
 }
 
 // retryMax resolves the operative lease-wait/reroute budget from the dial
@@ -887,19 +897,33 @@ func (c *SiteClient) repartitionSiteState() error {
 }
 
 // routeHash is the routing hash of key, as ShardRouter.RouteHash.
-func (c *SiteClient) routeHash(key string) uint64 { return hashing.Mix64(c.digest(key)) }
+func (c *SiteClient) routeHash(key string) uint64 { return hashing.Mix64(c.hasher.Hash(key)) }
 
 // Observe routes one element observation to its owning shard. The key is
 // hashed once: the routing hash and the hash the shard's site filters on
-// both derive from one digest.
+// both derive from one digest. The shard's client is called directly; only
+// an error enters the recovery loop, which starts from that error.
 func (c *SiteClient) Observe(key string, slot int64) error {
-	if err := c.maybeApplyRoute(); err != nil {
-		return err
+	if c.pendingRoute.Load() != nil {
+		if err := c.maybeApplyRoute(); err != nil {
+			return err
+		}
 	}
-	d := c.digest(key)
+	d := c.hasher.Hash(key)
 	shard := c.table.Lookup(hashing.Mix64(d))
-	h := hashing.ToUnit(d)
-	return c.do(shard, func(client *wire.SiteClient) error { return client.ObserveHashed(key, h, slot) })
+	sc := c.shards[shard]
+	if sc == nil || sc.client == nil {
+		return fmt.Errorf("cluster: no connection for shard slot %d", shard)
+	}
+	err := sc.client.ObserveHashed(key, hashing.ToUnit(d), slot)
+	if err == nil {
+		return nil
+	}
+	// A failed ObserveHashed has still handed the arrival to the site node,
+	// and what the node emitted waits among the client's unacked offers,
+	// which every recovery path replays. The retry only has to prove the
+	// recovered connection: it flushes, and never observes the key again.
+	return c.recoverFrom(shard, err, (*wire.SiteClient).Flush, c.retryMax(), nil)
 }
 
 // fanOut runs op on every shard connection concurrently (with per-shard

@@ -136,8 +136,8 @@ func Murmur3Sum64(data []byte, seed uint64) uint64 {
 	return h1
 }
 
-// Murmur3String64 hashes a string with the same small-key optimization as
-// Murmur2String64.
+// Murmur3String64 hashes a string through a stack copy, allocation-free for
+// keys up to 64 bytes.
 func Murmur3String64(s string, seed uint64) uint64 {
 	var buf [64]byte
 	if len(s) <= len(buf) {

@@ -53,10 +53,68 @@ func TestMurmur2LastByteMatters(t *testing.T) {
 }
 
 func TestMurmur2StringMatchesBytes(t *testing.T) {
-	keys := []string{"", "a", "short", "exactly-eight!!!", "a considerably longer key that exceeds the 64-byte stack buffer used by the string fast path, to force the slow path"}
+	keys := []string{"", "a", "short", "exactly-eight!!!", "a considerably longer key, well past 64 bytes, with a seven-byte tail..."}
 	for _, k := range keys {
 		if got, want := Murmur2String64(k, 99), Murmur2Sum64([]byte(k), 99); got != want {
 			t.Errorf("Murmur2String64(%q) = %x, want %x", k, got, want)
+		}
+	}
+}
+
+// pinnedKey is the key of length n the pinned digests below were taken
+// over: bytes i*37+11, which cover the high-bit range.
+func pinnedKey(n int) string {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(i*37 + 11)
+	}
+	return string(b)
+}
+
+// TestMurmur2PinnedDigests holds both Murmur2 entry points to fixed
+// digests, recorded before Murmur2String64 read strings in place, for every
+// tail length and either side of the 64-byte mark, under two seeds. Every
+// sampler's exactness proof compares against a reference that hashes with
+// the same function, so only this test sees a change of digest.
+func TestMurmur2PinnedDigests(t *testing.T) {
+	const seed2 = 0x9e3779b97f4a7c15
+	for _, tc := range []struct {
+		n        int
+		at0, at2 uint64
+	}{
+		{0, 0x0000000000000000, 0x84d69dcef1e6733a},
+		{1, 0x0d5d347e79e917ea, 0xb40beb7265c4d324},
+		{2, 0xd21ee89a263f14b8, 0x57ef8b56a6b3089e},
+		{3, 0xeb79fa711a44bb47, 0x6abe5a6ec2918429},
+		{4, 0x866263788ab3e2f7, 0xa960e0ba1d29ea42},
+		{5, 0x5f8d8a456a9c8043, 0x03968e250d5d75d9},
+		{6, 0xe7ad9f53809bd8c6, 0x56b238615a947621},
+		{7, 0x83d6d69c8462799c, 0x4e638c489871c3b7},
+		{8, 0x30d784eb06d314df, 0x952fab873e12bf08},
+		{9, 0x5c59b94e255fadda, 0x7f307fbee025c9d0},
+		{10, 0xdcca98cd23163bb1, 0x760c5e074c89576c},
+		{11, 0xfea4bec4a0a2bb73, 0x178713cd95a30cd9},
+		{12, 0x524b47e3110038a4, 0xc9044540a547597e},
+		{13, 0x47a39d60c70099b9, 0xe47fd0ed651e749e},
+		{14, 0xeac2be32e929b548, 0x3ef3ee7b848b1bc7},
+		{15, 0xd69656f62c12eb42, 0x95657c618b744cd6},
+		{16, 0x9f365ec0adfe3bc9, 0x23917903bd7d314a},
+		{17, 0xeb75eefb93381ce5, 0x84f5740e167df187},
+		{63, 0x015ed17378539fcf, 0xcd0c99be51581465},
+		{64, 0x601f78f9e8c32bc6, 0xd47ebe9cb9e49232},
+		{65, 0x675ef8ec325da150, 0xc6f0fca8642a862d},
+		{200, 0xe9e4e6a18ce8fd97, 0x6d9cf15520a235e3},
+	} {
+		key := pinnedKey(tc.n)
+		for _, c := range []struct {
+			seed, want uint64
+		}{{0, tc.at0}, {seed2, tc.at2}} {
+			if got := Murmur2String64(key, c.seed); got != c.want {
+				t.Errorf("Murmur2String64(len %d, seed %#x) = %#016x, want %#016x", tc.n, c.seed, got, c.want)
+			}
+			if got := Murmur2Sum64([]byte(key), c.seed); got != c.want {
+				t.Errorf("Murmur2Sum64(len %d, seed %#x) = %#016x, want %#016x", tc.n, c.seed, got, c.want)
+			}
 		}
 	}
 }

@@ -187,6 +187,36 @@ func Read(r io.Reader) ([]Element, error) {
 	line := 0
 	for rest := text; rest != ""; {
 		line++
+		// One pass over the common line: up to 18 digits (which cannot
+		// overflow an int64) and a tab, then the key up to the newline. Any
+		// other line (a sign, more digits, no tab, a blank line) goes through
+		// the checks below, where strconv.ParseInt builds every slot error.
+		var slot int64
+		j := 0
+		for ; j < len(rest) && j <= 18; j++ {
+			d := rest[j] - '0'
+			if d > 9 {
+				break
+			}
+			slot = slot*10 + int64(d)
+		}
+		if j > 0 && j <= 18 && j < len(rest) && rest[j] == '\t' {
+			key := rest[j+1:]
+			end := strings.IndexByte(key, '\n')
+			if end >= 0 {
+				key, rest = key[:end], key[end+1:]
+			} else {
+				rest = ""
+			}
+			if j+1+len(key) >= maxLine {
+				return nil, fmt.Errorf("stream: read: %w", bufio.ErrTooLong)
+			}
+			if n := len(key); n > 0 && key[n-1] == '\r' {
+				key = key[:n-1]
+			}
+			elements = append(elements, Element{Key: key, Slot: slot})
+			continue
+		}
 		var raw string
 		i := strings.IndexByte(rest, '\n')
 		if i < 0 {
@@ -207,7 +237,7 @@ func Read(r io.Reader) ([]Element, error) {
 		if !found {
 			return nil, fmt.Errorf("stream: line %d: missing tab separator", line)
 		}
-		slot, err := parseSlot(slotStr)
+		slot, err := strconv.ParseInt(slotStr, 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("stream: line %d: bad slot: %w", line, err)
 		}
@@ -255,24 +285,6 @@ func readAll(r io.Reader) (string, error) {
 	}
 	// buf is never written again, so the string may share its memory.
 	return unsafe.String(&buf[0], len(buf)), err
-}
-
-// parseSlot parses a decimal slot. Up to 18 plain digits cannot overflow an
-// int64 and take the fast path; anything else (a sign, more digits, a
-// non-digit) goes to strconv.ParseInt, which also builds every error.
-func parseSlot(s string) (int64, error) {
-	if n := len(s); n == 0 || n > 18 {
-		return strconv.ParseInt(s, 10, 64)
-	}
-	var v int64
-	for i := 0; i < len(s); i++ {
-		d := s[i] - '0'
-		if d > 9 {
-			return strconv.ParseInt(s, 10, 64)
-		}
-		v = v*10 + int64(d)
-	}
-	return v, nil
 }
 
 // Keys extracts the key sequence of a stream.

@@ -292,10 +292,27 @@ func checkAgainstOracle(t *testing.T, input string) {
 
 // readSeeds are the edge cases of the line format: CRLF, blank lines, no
 // final newline, signed and zero-padded slots, int64 overflow, the 1 MiB
-// line limit on both sides, and a missing tab.
+// line limit on both sides, and a missing tab. The rest sit at the edges of
+// Read's one-pass parse (at most 18 digits, then a tab): 18- and 19-digit
+// slots, a digit run with no tab, an empty or CR-only key, and plain-slot
+// lines of exactly maxLine-1 and maxLine bytes before the newline.
 func readSeeds() []string {
 	long := strings.Repeat("k", 1024*1024)
 	return []string{
+		"123456789012345678\teighteen\n999999999999999999\tmax18",
+		"0000000000000000001\tnineteen-padded\n",
+		"12345\n",
+		"12345",
+		"12 \tspace\n",
+		"12\r\n",
+		"5\t\r\n",
+		"5\t",
+		"5\t\t\n",
+		"7\t" + long[:maxLine-3] + "\n",
+		"7\t" + long[:maxLine-2] + "\n",
+		"7\t" + long[:maxLine-4] + "\r\n",
+		"7\t" + long[:maxLine-3] + "\r\n",
+		"7\t" + long[:maxLine-2],
 		"",
 		"1\ta\r\n2\tb\r\n",
 		"\n\n1\ta\n\n\r\n2\tb\n",

@@ -4,30 +4,35 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
-	"repro/internal/netsim"
 	"repro/internal/obs"
 )
 
 // pipeline is the state of a pipelined site connection (Options.Window > 1).
 //
-// The caller's goroutine is the writer: Observe/EndSlot buffer offers into
-// SiteClient.pending and ship() encodes them as sequence-numbered batch
-// frames, at most Window in flight at once. A dedicated reader goroutine
-// receives the coordinator's replies frames, matches them to batches by
-// sequence number (the server echoes each batch's Seq and TCP preserves
-// order, so replies must arrive in send order), feeds the replies into the
-// site node, and returns the batch's credit to the writer.
+// The caller's goroutine owns the connection's site end: it alone runs the
+// site node, fills SiteClient.pending, and ships it as sequence-numbered
+// batch frames, at most Window in flight at once. A dedicated reader
+// goroutine receives the coordinator's replies frames, matches them to
+// batches by sequence number (the server echoes each batch's Seq and TCP
+// preserves order, so replies must arrive in send order), returns the
+// batch's credit to the writer, and posts the frame's messages to a mailbox.
+// The reader never touches the site node: the owner applies the mailbox at
+// the start of every Observe, EndSlot and Flush and after every credit wait,
+// so a reply reaches the node before the next arrival it can affect, and an
+// arrival the node filters out costs one atomic load and takes no lock.
 //
 // The credit window is the backpressure and memory bound: when the
 // coordinator falls behind, the writer blocks in ship() after Window
 // unacknowledged batches instead of buffering without limit.
 //
-// Everything below is guarded by SiteClient.mu except the actual WriteFrame
-// and ReadFrame calls, which run unlocked so that a blocked TCP write can
-// never prevent the reader from draining replies (the classic pipelined
-// deadlock). The codec keeps separate read and write scratch buffers for the
-// same reason.
+// The fields the reader writes (sequencing, the retained batches, the
+// mailbox, the sticky error) are guarded by SiteClient.mu; the WriteFrame
+// and ReadFrame calls run unlocked so that a blocked TCP write can never
+// prevent the reader from draining replies (the classic pipelined deadlock).
+// The codec keeps separate read and write scratch buffers for the same
+// reason.
 type pipeline struct {
 	cond    *sync.Cond // signals credit returns and failures; cond.L == &SiteClient.mu
 	sendSeq uint64     // sequence number of the next batch to ship
@@ -35,6 +40,15 @@ type pipeline struct {
 	slots   []int64    // slot context of each in-flight batch, FIFO
 	err     error      // sticky failure; set once, ends the pipeline
 	done    chan struct{}
+
+	// mail holds the reply messages the reader has received and the owner
+	// has not applied yet, each with the slot of the batch it answers; spare
+	// is the owner's emptied buffer, swapped in on every drain so neither
+	// side allocates once warm. notice is set, under mu, whenever mail is
+	// non-empty or err is set, so the owner's check costs one atomic load.
+	mail   []BatchEntry
+	spare  []BatchEntry
+	notice atomic.Bool
 
 	// unacked retains a copy of every shipped-but-unacknowledged batch,
 	// FIFO and parallel to slots. On a cumulative ack the acked prefix is
@@ -76,33 +90,64 @@ func (c *SiteClient) startPipeline() {
 	go c.readLoop()
 }
 
-// failPipe records the pipeline's first error and wakes every waiter.
-// Callers must hold mu.
+// failPipe records the pipeline's first error, raises the owner's notice
+// and wakes every waiter. Callers must hold mu.
 func (c *SiteClient) failPipe(err error) {
 	if c.pipe.err == nil {
 		c.pipe.err = err
 	}
+	c.pipe.notice.Store(true)
 	c.pipe.cond.Broadcast()
 }
 
-// pipeObserve is Observe in pipelined mode: run the site callback, buffer
-// its messages, and ship any full batches without waiting for replies.
-func (c *SiteClient) pipeObserve(key string, h float64, hashed bool, slot int64) error {
-	batchSize := c.opts.BatchSize
-	if batchSize < 1 {
-		batchSize = 1
+// takeReplies applies the replies the reader has posted since the last call
+// to the site node, in arrival order, buffering whatever the node emits in
+// answer, and returns the pipeline's sticky error. Only the owner calls it;
+// with nothing posted it is one atomic load.
+func (c *SiteClient) takeReplies() error {
+	p := c.pipe
+	if !p.notice.Load() {
+		return nil
 	}
 	c.mu.Lock()
-	if err := c.pipe.err; err != nil {
-		c.mu.Unlock()
-		return err
+	mail := p.mail
+	p.mail = p.spare[:0]
+	err := p.err
+	p.notice.Store(err != nil)
+	c.mu.Unlock()
+	for _, r := range mail {
+		c.scratch.Reset()
+		c.node.OnMessage(r.Msg, r.Slot, &c.scratch)
+		if berr := c.buffer(r.Slot); berr != nil {
+			c.mu.Lock()
+			c.failPipe(berr)
+			c.mu.Unlock()
+			err = berr
+			break
+		}
 	}
+	clear(mail) // drop the key references
+	p.spare = mail[:0]
+	return err
+}
+
+// pipeObserve is Observe in pipelined mode: apply posted replies, run the
+// arrival through the site node, buffer what it emits, and ship any full
+// batches without waiting for replies. The arrival reaches the node even
+// when the pipeline has failed: its offers then wait in pending, which
+// Unacked hands to the failover path, so a recovered Observe never needs
+// to feed the node the same arrival again.
+func (c *SiteClient) pipeObserve(key string, h float64, hashed bool, slot int64) error {
+	err := c.takeReplies()
 	c.scratch.Reset()
 	c.arrive(key, h, hashed, slot)
-	err := c.bufferLocked(slot)
-	full := len(c.pending) >= batchSize
-	c.mu.Unlock()
-	if err != nil || !full {
+	if len(c.scratch.Envelopes()) == 0 {
+		return err
+	}
+	if berr := c.buffer(slot); berr != nil {
+		return berr
+	}
+	if err != nil || len(c.pending) < c.batchSize() {
 		return err
 	}
 	return c.ship(false)
@@ -111,33 +156,69 @@ func (c *SiteClient) pipeObserve(key string, h float64, hashed bool, slot int64)
 // pipeEndSlot is EndSlot in pipelined mode: run the slot-end callback, then
 // drain the window so nothing crosses the slot boundary unacknowledged.
 func (c *SiteClient) pipeEndSlot(slot int64) error {
-	c.mu.Lock()
-	if err := c.pipe.err; err != nil {
-		c.mu.Unlock()
+	if err := c.takeReplies(); err != nil {
 		return err
 	}
 	c.scratch.Reset()
 	c.node.OnSlotEnd(slot, &c.scratch)
-	err := c.bufferLocked(slot)
-	c.mu.Unlock()
-	if err != nil {
+	if err := c.buffer(slot); err != nil {
 		return err
 	}
 	return c.pipeFlush()
 }
 
-// bufferLocked appends the scratch outbox's messages to the pending buffer.
-// Callers hold mu.
-func (c *SiteClient) bufferLocked(slot int64) error {
-	for _, env := range c.scratch.Envelopes() {
-		if env.Broadcast || env.To != netsim.CoordinatorID {
-			return errors.New("wire: site nodes may only message the coordinator")
-		}
-		c.noteBatchStart()
-		c.pending = append(c.pending, BatchEntry{Slot: slot, Msg: env.Msg})
+// batchSize is the operative batch size: Options.BatchSize, at least 1.
+func (c *SiteClient) batchSize() int {
+	return max(c.opts.BatchSize, 1)
+}
+
+// flushWire pushes batch frames the codec still buffers onto the socket.
+func (c *SiteClient) flushWire() error {
+	if !c.pipe.wireDirty {
+		return nil
 	}
-	c.scratch.Reset()
+	c.pipe.wireDirty = false
+	if err := c.fc.Flush(); err != nil {
+		err = fmt.Errorf("wire: flush batches: %w", err)
+		c.mu.Lock()
+		c.failPipe(err)
+		c.mu.Unlock()
+		return err
+	}
 	return nil
+}
+
+// awaitCredit blocks until the window has a free credit, flushing buffered
+// frames before it sleeps, and then applies the replies that arrived
+// meanwhile, so the next batch leaves on the freshest threshold. It returns
+// the stall's start and end (zero when it did not sleep) and the pipeline's
+// error.
+func (c *SiteClient) awaitCredit() (stalledAt, stallEnd int64, err error) {
+	c.mu.Lock()
+	for c.pipe.inflight() >= c.opts.Window && c.pipe.err == nil {
+		if c.pipe.wireDirty {
+			c.mu.Unlock()
+			if err := c.flushWire(); err != nil {
+				return 0, 0, err
+			}
+			c.mu.Lock()
+			continue
+		}
+		// Out of credits with nothing left to flush: the writer sleeps
+		// until the reader returns credit. This is the backpressure the
+		// stall counters expose.
+		if stalledAt == 0 {
+			stalledAt = nowNanos()
+			obsCreditStalls.Inc()
+		}
+		c.pipe.cond.Wait()
+	}
+	c.mu.Unlock()
+	if stalledAt != 0 {
+		stallEnd = nowNanos()
+		obsCreditStallNs.Observe(stallEnd - stalledAt)
+	}
+	return stalledAt, stallEnd, c.takeReplies()
 }
 
 // ship moves pending offers onto the wire as sequence-numbered batch frames.
@@ -149,71 +230,27 @@ func (c *SiteClient) bufferLocked(slot int64) error {
 // frames ride one syscall, and the coordinator always sees every shipped
 // frame before the writer goes to sleep (no flush, no progress, deadlock).
 func (c *SiteClient) ship(all bool) error {
-	batchSize := c.opts.BatchSize
-	if batchSize < 1 {
-		batchSize = 1
-	}
-	flush := func() error {
-		if !c.pipe.wireDirty {
-			return nil
-		}
-		c.pipe.wireDirty = false
-		if err := c.fc.Flush(); err != nil {
-			err = fmt.Errorf("wire: flush batches: %w", err)
-			c.mu.Lock()
-			c.failPipe(err)
-			c.mu.Unlock()
-			return err
-		}
-		return nil
-	}
+	batchSize := c.batchSize()
 	for {
-		c.mu.Lock()
-		stalledAt, stallEnd := int64(0), int64(0)
-		for c.pipe.inflight() >= c.opts.Window && c.pipe.err == nil {
-			if c.pipe.wireDirty {
-				c.mu.Unlock()
-				if err := flush(); err != nil {
-					return err
-				}
-				c.mu.Lock()
-				continue
-			}
-			// Out of credits with nothing left to flush: the writer sleeps
-			// until the reader returns credit. This is the backpressure the
-			// stall counters expose.
-			if stalledAt == 0 {
-				stalledAt = nowNanos()
-				obsCreditStalls.Inc()
-			}
-			c.pipe.cond.Wait()
-		}
-		if stalledAt != 0 {
-			stallEnd = nowNanos()
-			obsCreditStallNs.Observe(stallEnd - stalledAt)
-		}
-		if err := c.pipe.err; err != nil {
-			c.mu.Unlock()
+		stalledAt, stallEnd, err := c.awaitCredit()
+		if err != nil {
 			return err
 		}
 		n := len(c.pending)
 		if n == 0 || (!all && n < batchSize) {
-			c.mu.Unlock()
 			// While credits remain, frames stay buffered for coalescing;
 			// only a drain (all) forces them out now.
 			if all {
-				return flush()
+				return c.flushWire()
 			}
 			return nil
 		}
-		if n > batchSize {
-			n = batchSize
-		}
+		n = min(n, batchSize)
+		c.mu.Lock()
 		// Copy the chunk out (into a recycled buffer when one is free) and
-		// compact pending so the reader can keep appending reply-generated
-		// offers while the frame is on the wire. The copy is retained in
-		// inflight until its ack arrives — it is both the frame's payload
-		// and the failover replay record.
+		// compact pending. The copy is retained in unacked until its ack
+		// arrives — it is both the frame's payload and the failover replay
+		// record.
 		var buf []BatchEntry
 		if k := len(c.pipe.free); k > 0 {
 			buf = c.pipe.free[k-1]
@@ -272,37 +309,35 @@ func (c *SiteClient) ship(all bool) error {
 // the coordinator, or an error is reported.
 func (c *SiteClient) pipeFlush() error {
 	for {
-		if err := c.ship(true); err != nil {
+		if err := c.ship(true); err != nil { // applies posted replies first
 			return err
 		}
 		c.mu.Lock()
 		for c.pipe.inflight() > 0 && c.pipe.err == nil {
 			c.pipe.cond.Wait()
 		}
-		err := c.pipe.err
-		idle := len(c.pending) == 0
 		c.mu.Unlock()
-		if err != nil {
+		if err := c.takeReplies(); err != nil {
 			return err
 		}
-		if idle {
+		if len(c.pending) == 0 {
 			return nil
 		}
 	}
 }
 
 // readLoop is the dedicated reply reader of a pipelined connection. It
-// verifies reply sequencing, feeds replies into the site node (buffering any
-// messages the node emits in response for the next batch), and returns
-// credits to the writer. It exits on the first error or when the connection
-// closes.
+// verifies reply sequencing, posts each replies frame's messages to the
+// owner's mailbox with the slot of the batch they answer, and returns
+// credits to the writer. It never calls the site node. It exits on the
+// first error or when the connection closes.
 //
 // A replies frame returns credit, but the reader wakes the credit-stalled
 // writer only once no whole frame is left in its read buffer: replies that
-// arrived together all reach the node first, so the writer resumes on the
-// freshest threshold and sends fewer offers the coordinator would reject.
-// The wake is never held across a read that can block, whatever frame kind
-// came last.
+// arrived together are all posted first, so the writer, which applies the
+// mailbox as it wakes, resumes on the freshest threshold and sends fewer
+// offers the coordinator would reject. The wake is never held across a read
+// that can block, whatever frame kind came last.
 func (c *SiteClient) readLoop() {
 	defer close(c.pipe.done)
 	var f Frame
@@ -356,29 +391,21 @@ func (c *SiteClient) readLoop() {
 			rest = copy(c.pipe.unacked, c.pipe.unacked[acked:])
 			c.pipe.unacked = c.pipe.unacked[:rest]
 			c.received += len(f.Msgs)
-			ok := true
-			for _, reply := range f.Msgs {
-				c.scratch.Reset()
-				c.node.OnMessage(reply, slot, &c.scratch)
-				if err := c.bufferLocked(slot); err != nil {
-					c.failPipe(err)
-					ok = false
-					break
+			if len(f.Msgs) > 0 {
+				for _, reply := range f.Msgs {
+					c.pipe.mail = append(c.pipe.mail, BatchEntry{Slot: slot, Msg: reply})
 				}
+				c.pipe.notice.Store(true)
 			}
 			c.pipe.ackSeq = f.Seq + 1
 			wake = true
 			c.mu.Unlock()
-			if !ok {
-				return
-			}
 		case FrameRoutePush:
 			// Server-initiated table broadcast: hand it to the callback
 			// outside the lock (it may park the table in a mailbox) and keep
 			// reading — the push is not an ack and returns no credit.
 			c.mu.Unlock()
 			c.routePush(&f)
-			continue
 		case FrameError:
 			c.failPipe(coordError(f.Error))
 			c.mu.Unlock()

@@ -1134,9 +1134,10 @@ const DefaultWindow = 8
 //
 // A SiteClient is not safe for concurrent use: Observe/EndSlot/Flush/Close
 // must be called from one goroutine (or externally serialized), exactly like
-// the site node it wraps. In pipelined mode the client owns one additional
-// internal reader goroutine; mu serializes that reader's access to the site
-// node and shared buffers against the caller.
+// the site node it wraps. That goroutine owns the node, pending, scratch and
+// batchStartNs, and touches them without a lock. In pipelined mode the
+// client runs one additional reader goroutine, which never calls the node:
+// it posts replies to a mailbox the owner applies (see pipeline).
 type SiteClient struct {
 	node   netsim.SiteNode
 	hashed hashedSiteNode // node, when it takes precomputed hashes
@@ -1144,12 +1145,15 @@ type SiteClient struct {
 	fc     frameConn
 	opts   Options
 
-	mu      sync.Mutex   // guards node, pending, counters when pipelining
+	// mu guards what the pipelined reader shares with the owner: the
+	// pipeline's sequencing, retained batches, mailbox and error, and the
+	// sent/received counters. The site node and pending are not under it.
+	mu      sync.Mutex
 	pending []BatchEntry // buffered offers awaiting a batch flush
 	// batchStartNs is when the current pending buffer got its first offer,
 	// stamped only while tracing is enabled (zero otherwise): the site_batch
 	// span of a sampled batch covers assembly, from first buffered offer to
-	// ship. Reset on every ship. Guarded by mu in pipelined mode.
+	// ship. Reset on every ship.
 	batchStartNs int64
 
 	scratch netsim.Outbox // reusable outbox for node callbacks
@@ -1215,6 +1219,9 @@ func (c *SiteClient) Close() error {
 	closeErr := c.conn.Close()
 	if c.pipe != nil {
 		<-c.pipe.done // reader exits once the connection is closed
+		// Replies the reader took before a failure still reach the node;
+		// what it emits in answer joins pending, for Unacked.
+		_ = c.takeReplies()
 	}
 	if flushErr != nil {
 		return flushErr
@@ -1268,15 +1275,15 @@ func (c *SiteClient) Replay(entries []BatchEntry) error {
 	if len(entries) == 0 {
 		return nil
 	}
-	c.mu.Lock()
 	c.pending = append(c.pending, entries...)
-	c.mu.Unlock()
 	return c.Flush()
 }
 
 // Observe feeds one element observation to the local site node and performs
 // whatever exchanges with the coordinator the protocol requires (possibly
-// deferred, when batching or pipelining is enabled).
+// deferred, when batching or pipelining is enabled). The node sees the
+// arrival even when Observe fails: whatever it emitted is then held for
+// Unacked, so recovery replays it rather than observing the element again.
 func (c *SiteClient) Observe(key string, slot int64) error {
 	return c.observe(key, 0, false, slot)
 }
@@ -1295,7 +1302,7 @@ func (c *SiteClient) observe(key string, h float64, hashed bool, slot int64) err
 	}
 	c.scratch.Reset()
 	c.arrive(key, h, hashed, slot)
-	return c.flush(&c.scratch, slot)
+	return c.flush(slot)
 }
 
 // arrive runs the node's arrival callback into the scratch outbox, on the
@@ -1318,30 +1325,27 @@ func (c *SiteClient) EndSlot(slot int64) error {
 	}
 	c.scratch.Reset()
 	c.node.OnSlotEnd(slot, &c.scratch)
-	if err := c.flush(&c.scratch, slot); err != nil {
+	if err := c.flush(slot); err != nil {
 		return err
 	}
 	return c.Flush()
 }
 
-// flush routes every queued coordinator-bound message: in unbatched mode it
-// ships each message and processes the replies immediately; in batched mode
-// it buffers and ships full batches only. The outbox is reset on return.
-func (c *SiteClient) flush(out *netsim.Outbox, slot int64) error {
+// flush routes the coordinator-bound messages in the scratch outbox: in
+// unbatched mode it ships each message and processes the replies
+// immediately; in batched mode it buffers and ships full batches only. The
+// outbox is reset on return.
+func (c *SiteClient) flush(slot int64) error {
 	if c.opts.BatchSize > 1 {
-		for _, env := range out.Envelopes() {
-			if env.Broadcast || env.To != netsim.CoordinatorID {
-				return errors.New("wire: site nodes may only message the coordinator")
-			}
-			c.noteBatchStart()
-			c.pending = append(c.pending, BatchEntry{Slot: slot, Msg: env.Msg})
+		if err := c.buffer(slot); err != nil {
+			return err
 		}
-		out.Reset()
 		if len(c.pending) >= c.opts.BatchSize {
 			return c.sendPending(slot)
 		}
 		return nil
 	}
+	out := &c.scratch
 	queue := append([]netsim.Envelope(nil), out.Envelopes()...)
 	out.Reset()
 	for len(queue) > 0 {
@@ -1385,6 +1389,21 @@ func (c *SiteClient) Flush() error {
 			return err
 		}
 	}
+	return nil
+}
+
+// buffer moves the scratch outbox's messages to the pending buffer, each
+// with the given slot, and resets the outbox.
+func (c *SiteClient) buffer(slot int64) error {
+	for _, env := range c.scratch.Envelopes() {
+		if env.Broadcast || env.To != netsim.CoordinatorID {
+			c.scratch.Reset()
+			return errors.New("wire: site nodes may only message the coordinator")
+		}
+		c.noteBatchStart()
+		c.pending = append(c.pending, BatchEntry{Slot: slot, Msg: env.Msg})
+	}
+	c.scratch.Reset()
 	return nil
 }
 
@@ -1445,14 +1464,9 @@ func (c *SiteClient) sendPending(slot int64) error {
 	for _, reply := range replies {
 		c.scratch.Reset()
 		c.node.OnMessage(reply, slot, &c.scratch)
-		for _, env := range c.scratch.Envelopes() {
-			if env.Broadcast || env.To != netsim.CoordinatorID {
-				return errors.New("wire: site nodes may only message the coordinator")
-			}
-			c.noteBatchStart()
-			c.pending = append(c.pending, BatchEntry{Slot: slot, Msg: env.Msg})
+		if err := c.buffer(slot); err != nil {
+			return err
 		}
-		c.scratch.Reset()
 	}
 	return nil
 }
