@@ -17,9 +17,28 @@ import (
 	"repro/internal/wire"
 )
 
+// floodSite is a stub site that offers every arrival to the owning shard
+// unconditionally and ignores threshold replies. The coordinator's bottom-s
+// sample is identical to the protocol's — redundant offers never change a
+// bottom-s sketch — but the transport now carries one offer per element,
+// exposing wire throughput instead of protocol behavior.
+type floodSite struct {
+	id     int
+	hasher hashing.UnitHasher
+}
+
+func (f *floodSite) ID() int { return f.id }
+func (f *floodSite) OnArrival(key string, _ int64, out *netsim.Outbox) {
+	out.ToCoordinator(netsim.Message{Kind: netsim.KindOffer, Key: key, Hash: f.hasher.Unit(key)})
+}
+func (f *floodSite) OnMessage(netsim.Message, int64, *netsim.Outbox) {}
+func (f *floodSite) OnSlotEnd(int64, *netsim.Outbox)                 {}
+func (f *floodSite) Memory() int                                     { return 0 }
+
 // ingest replays the stream through k concurrent cluster site clients and
-// returns the running server.
-func ingest(t *testing.T, shards, k, s int, hasher hashing.UnitHasher, arrivals []stream.Arrival, opts wire.Options) *Server {
+// returns the running server. With flood set the sites are floodSites, so
+// every element reaches the wire as one offer.
+func ingest(t *testing.T, shards, k, s int, hasher hashing.UnitHasher, arrivals []stream.Arrival, opts wire.Options, flood bool) *Server {
 	t.Helper()
 	srv, err := Listen("127.0.0.1:0", shards, func(int) wire.Node {
 		return core.NewInfiniteCoordinator(s)
@@ -38,9 +57,11 @@ func ingest(t *testing.T, shards, k, s int, hasher hashing.UnitHasher, arrivals 
 	errs := make(chan error, k)
 	for site := 0; site < k; site++ {
 		id := site
-		client, err := DialSites(srv.Addrs(), router, func(int) netsim.SiteNode {
-			return core.NewInfiniteSite(id, hasher)
-		}, opts)
+		newSite := func(int) netsim.SiteNode { return core.NewInfiniteSite(id, hasher) }
+		if flood {
+			newSite = func(int) netsim.SiteNode { return &floodSite{id: id, hasher: hasher} }
+		}
+		client, err := DialSites(srv.Addrs(), router, newSite, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +90,10 @@ func ingest(t *testing.T, shards, k, s int, hasher hashing.UnitHasher, arrivals 
 // TestMergedSampleMatchesReference is the subsystem's core exactness
 // guarantee: for C in {1, 2, 4, 8}, the union of per-shard bottom-s samples,
 // re-truncated to bottom-s, is byte-identical to the centralized reference
-// bottom-s sketch over the same stream.
+// bottom-s sketch over the same stream. The flood case streams one offer per
+// element through pipelined clients: redundant offers and windowed streaming
+// must leave the sample unchanged, and each element must cost exactly one
+// offer on the wire.
 func TestMergedSampleMatchesReference(t *testing.T) {
 	const (
 		k    = 3
@@ -88,16 +112,24 @@ func TestMergedSampleMatchesReference(t *testing.T) {
 	}
 
 	for _, shards := range []int{1, 2, 4, 8} {
-		for _, opts := range []wire.Options{
-			{},
-			{BatchSize: 16},
+		for _, tc := range []struct {
+			opts  wire.Options
+			flood bool
+		}{
+			{opts: wire.Options{}},
+			{opts: wire.Options{BatchSize: 16}},
 			// Pipelined ingest: batches stream with a credit window and the
 			// shard fan-out on Flush/Close runs concurrently; the merged
 			// sample must stay byte-identical to the reference.
-			{BatchSize: 16, Window: 4},
-			{BatchSize: 8, Window: 2},
+			{opts: wire.Options{BatchSize: 16, Window: 4}},
+			{opts: wire.Options{BatchSize: 8, Window: 2}},
+			{opts: wire.Options{BatchSize: 32, Window: 4}, flood: true},
 		} {
-			srv := ingest(t, shards, k, s, hasher, arrivals, opts)
+			opts := tc.opts
+			srv := ingest(t, shards, k, s, hasher, arrivals, opts, tc.flood)
+			if offers, _, _ := srv.Stats(); tc.flood && offers != len(arrivals) {
+				t.Fatalf("shards=%d: flood mode shipped %d offers, want one per element (%d)", shards, offers, len(arrivals))
+			}
 			merged := srv.MergedSample(s)
 			got, err := json.Marshal(merged)
 			if err != nil {
@@ -135,7 +167,7 @@ func TestMergedThresholdAndEstimate(t *testing.T) {
 	hasher := hashing.NewMurmur2(seed)
 	elements := dataset.Uniform(12000, 4000, seed).Generate()
 	arrivals := distribute.Apply(elements, distribute.NewRandom(k, seed))
-	srv := ingest(t, shards, k, s, hasher, arrivals, wire.Options{BatchSize: 32})
+	srv := ingest(t, shards, k, s, hasher, arrivals, wire.Options{BatchSize: 32}, false)
 
 	oracle := core.NewReference(s, hasher)
 	oracle.ObserveAll(stream.Keys(elements))
@@ -348,51 +380,5 @@ func TestSlidingClusterWindowMinimum(t *testing.T) {
 	}
 	if merged[0].Key != bestKey {
 		t.Fatalf("merged window sample %q, want global window minimum %q", merged[0].Key, bestKey)
-	}
-}
-
-// TestRunIngestBench smoke-tests the benchmark runner used by cmd/ddsbench
-// (it self-checks the merged sample against the reference internally).
-func TestRunIngestBench(t *testing.T) {
-	cfg := DefaultBenchConfig()
-	cfg.Shards = 2
-	cfg.Elements = 4000
-	cfg.Distinct = 1000
-	cfg.Batch = 32
-	res, err := RunIngestBench(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.OpsPerSec <= 0 || res.MergedSampleLen != cfg.SampleSize {
-		t.Fatalf("implausible bench result: %+v", res)
-	}
-	if len(res.PerShardOffers) != 2 || len(res.PerShardSampleLen) != 2 {
-		t.Fatalf("missing per-shard series: %+v", res)
-	}
-}
-
-// TestRunIngestBenchPipelinedFlood covers the configuration behind the
-// BENCH_cluster.json pipeline section: flood-mode sites (one offer per
-// element on the wire) with pipelined ingest. The runner's internal
-// reference cross-check proves that redundant flooded offers and windowed
-// streaming leave the merged sample byte-identical to the oracle; here we
-// additionally check the offer accounting.
-func TestRunIngestBenchPipelinedFlood(t *testing.T) {
-	cfg := DefaultBenchConfig()
-	cfg.Shards = 2
-	cfg.Elements = 4000
-	cfg.Distinct = 1000
-	cfg.Batch = 32
-	cfg.Window = 4
-	cfg.Flood = true
-	res, err := RunIngestBench(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Offers != cfg.Elements {
-		t.Fatalf("flood mode shipped %d offers, want one per element (%d)", res.Offers, cfg.Elements)
-	}
-	if res.Window != 4 || !res.Flood {
-		t.Fatalf("bench result does not record the pipelined flood config: %+v", res)
 	}
 }

@@ -372,31 +372,3 @@ func TestDialGroupsJoinsMidOutage(t *testing.T) {
 		t.Fatal("sample ingested through a mid-outage join differs from the reference")
 	}
 }
-
-// TestRunFailoverBench smoke-tests the kill/promote benchmark runner used by
-// cmd/ddsbench (it verifies merged-vs-reference internally and errors on
-// divergence).
-func TestRunFailoverBench(t *testing.T) {
-	cfg := DefaultBenchConfig()
-	cfg.Shards = 2
-	cfg.Elements = 4000
-	cfg.Distinct = 1000
-	cfg.Batch = 16
-	cfg.Window = 4
-	res, err := RunFailoverBench(cfg, 1, 20*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.PreKillOpsPerSec <= 0 || res.PostKillOpsPerSec <= 0 {
-		t.Fatalf("implausible throughput: %+v", res)
-	}
-	if res.Failovers < cfg.Sites {
-		t.Fatalf("bench recorded %d failovers for %d sites: %+v", res.Failovers, cfg.Sites, res)
-	}
-	if res.NewPrimary != res.KilledMember+1 {
-		t.Fatalf("promotion went to member %d after killing %d: %+v", res.NewPrimary, res.KilledMember, res)
-	}
-	if res.MergedSampleLen != cfg.SampleSize {
-		t.Fatalf("merged sample len %d, want %d", res.MergedSampleLen, cfg.SampleSize)
-	}
-}

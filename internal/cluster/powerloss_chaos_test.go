@@ -349,37 +349,6 @@ func TestRestoreStaleSnapshotOutsideTableIsSkipped(t *testing.T) {
 	}
 }
 
-// TestRunDurabilityBench smokes the spool on/off benchmark: both runs ingest,
-// background snapshots land, the barrier and restore are timed, and the
-// restored cluster matches the reference (enforced inside the bench itself).
-func TestRunDurabilityBench(t *testing.T) {
-	cfg := DefaultBenchConfig()
-	cfg.Shards = 2
-	cfg.Elements = 4000
-	cfg.Distinct = 1000
-	cfg.Batch = 16
-	cfg.Window = 4
-	res, err := RunDurabilityBench(cfg, 1, 20*time.Millisecond, 10*time.Millisecond, t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.OffOpsPerSec <= 0 || res.OnOpsPerSec <= 0 {
-		t.Fatalf("implausible throughput: %+v", res)
-	}
-	if res.Snapshots < uint64(cfg.Shards) || res.SnapshotBytes == 0 {
-		t.Fatalf("spooled run wrote %d snapshots / %d bytes: %+v", res.Snapshots, res.SnapshotBytes, res)
-	}
-	if res.RestoredSlots != cfg.Shards {
-		t.Fatalf("restore warmed %d slots, want %d: %+v", res.RestoredSlots, cfg.Shards, res)
-	}
-	if res.SpoolBarrierSec <= 0 || res.RestoreSec <= 0 {
-		t.Fatalf("unmeasured barrier/restore: %+v", res)
-	}
-	if res.MergedSampleLen != cfg.SampleSize {
-		t.Fatalf("merged sample len %d, want %d", res.MergedSampleLen, cfg.SampleSize)
-	}
-}
-
 // TestReshardDurabilityBarrier pins the post-plan barrier: with a spool
 // armed via SetSpool, a completed split rewrites the manifest to the new
 // table and force-spools every live shard, so snapshots on disk carry the

@@ -264,6 +264,14 @@ func TestSlidingChaosMatchesReference(t *testing.T) {
 			if splits == 0 {
 				t.Fatalf("%s: schedule ran %d splits and %d merges; the chaos never split a live shard", name, splits, merges)
 			}
+			failovers := 0
+			for _, c := range clients {
+				n, _ := c.Failovers()
+				failovers += n
+			}
+			if failovers == 0 {
+				t.Fatalf("%s: no site failed over across the primary kill in chunk %d", name, killChunk)
+			}
 			// The remote query path agrees, across retired slots and all.
 			if want, haveWant := trueWindowEntry(maxSlot); haveWant {
 				queried, err := QueryGroups(srv.GroupAddrs(), 0)

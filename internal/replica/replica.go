@@ -749,9 +749,6 @@ func (s *Server) Shards() int {
 	return len(s.groups)
 }
 
-// GroupSize returns 1 + R, the number of members per group.
-func (s *Server) GroupSize() int { return s.opts.Replicas + 1 }
-
 // GroupAddrs returns, per shard slot, the member addresses in promotion
 // order (member 0 first); retired slots are nil. This is the address set
 // sites and query clients take.

@@ -48,10 +48,6 @@ func (t *Treap[K, V]) nextPriority() uint64 {
 	return out
 }
 
-func (t *Treap[K, V]) equal(a, b K) bool {
-	return !t.less(a, b) && !t.less(b, a)
-}
-
 // Get returns the value stored under key, and whether it was present.
 func (t *Treap[K, V]) Get(key K) (V, bool) {
 	n := t.root

@@ -79,6 +79,13 @@ type pipeline struct {
 	// flush before blocking on credits or draining, or the coordinator
 	// never sees the batches it is expected to ack.
 	wireDirty bool
+
+	// stall is the start and end (UnixNano) of the last credit stall, kept
+	// until the next batch ships and closes its credit_wait span: a stall
+	// usually ends with less than a batch pending, so the batch that waited
+	// leaves in a later ship call. Owned by the writer goroutine; zero when
+	// no stall is waiting for a batch.
+	stall [2]int64
 }
 
 // inflight returns the number of unacknowledged batches. Callers hold mu.
@@ -190,16 +197,17 @@ func (c *SiteClient) flushWire() error {
 
 // awaitCredit blocks until the window has a free credit, flushing buffered
 // frames before it sleeps, and then applies the replies that arrived
-// meanwhile, so the next batch leaves on the freshest threshold. It returns
-// the stall's start and end (zero when it did not sleep) and the pipeline's
+// meanwhile, so the next batch leaves on the freshest threshold. A sleep is
+// kept in pipe.stall for the next shipped batch. It returns the pipeline's
 // error.
-func (c *SiteClient) awaitCredit() (stalledAt, stallEnd int64, err error) {
+func (c *SiteClient) awaitCredit() error {
+	var stalledAt int64
 	c.mu.Lock()
 	for c.pipe.inflight() >= c.opts.Window && c.pipe.err == nil {
 		if c.pipe.wireDirty {
 			c.mu.Unlock()
 			if err := c.flushWire(); err != nil {
-				return 0, 0, err
+				return err
 			}
 			c.mu.Lock()
 			continue
@@ -215,10 +223,11 @@ func (c *SiteClient) awaitCredit() (stalledAt, stallEnd int64, err error) {
 	}
 	c.mu.Unlock()
 	if stalledAt != 0 {
-		stallEnd = nowNanos()
+		stallEnd := nowNanos()
 		obsCreditStallNs.Observe(stallEnd - stalledAt)
+		c.pipe.stall = [2]int64{stalledAt, stallEnd}
 	}
-	return stalledAt, stallEnd, c.takeReplies()
+	return c.takeReplies()
 }
 
 // ship moves pending offers onto the wire as sequence-numbered batch frames.
@@ -232,8 +241,7 @@ func (c *SiteClient) awaitCredit() (stalledAt, stallEnd int64, err error) {
 func (c *SiteClient) ship(all bool) error {
 	batchSize := c.batchSize()
 	for {
-		stalledAt, stallEnd, err := c.awaitCredit()
-		if err != nil {
+		if err := c.awaitCredit(); err != nil {
 			return err
 		}
 		n := len(c.pending)
@@ -268,6 +276,8 @@ func (c *SiteClient) ship(all bool) error {
 		tc := obs.StartTrace()
 		batchStart := c.batchStartNs
 		c.batchStartNs = 0
+		stall := c.pipe.stall
+		c.pipe.stall = [2]int64{}
 		c.pipe.slots = append(c.pipe.slots, batch[len(batch)-1].Slot)
 		c.pipe.sendTimes = append(c.pipe.sendTimes, nowNanos())
 		c.pipe.traces = append(c.pipe.traces, tc)
@@ -282,8 +292,8 @@ func (c *SiteClient) ship(all bool) error {
 			if batchStart != 0 {
 				obs.StageSpan(tc, obs.StageSiteBatch, batchStart, now)
 			}
-			if stalledAt != 0 {
-				obs.StageSpan(tc, obs.StageCreditWait, stalledAt, stallEnd)
+			if stall[0] != 0 {
+				obs.StageSpan(tc, obs.StageCreditWait, stall[0], stall[1])
 			}
 			writeStart = now
 		}

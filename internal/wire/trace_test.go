@@ -3,11 +3,14 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"io"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/hashing"
+	"repro/internal/netsim"
 	"repro/internal/obs"
 )
 
@@ -119,5 +122,49 @@ func TestTraceSpansCoverIngestPath(t *testing.T) {
 	}
 	if tc := srv.TakeTrace(); tc.Sampled() {
 		t.Fatal("TakeTrace did not clear the stash")
+	}
+}
+
+// slowCoordinator answers every message after a short sleep, so a pipelined
+// writer fills its credit window and stalls.
+type slowCoordinator struct{ Node }
+
+func (c slowCoordinator) OnMessage(msg netsim.Message, slot int64, out *netsim.Outbox) {
+	time.Sleep(100 * time.Microsecond)
+	c.Node.OnMessage(msg, slot, out)
+}
+
+// TestTraceCreditWaitSpanRidesNextBatch: a credit stall usually ends with
+// less than a batch pending, because the window filled on the batch just
+// shipped, so its credit_wait span must be closed by the next batch that
+// ships. Every stall except the last one before Close is followed by a ship,
+// so at full sampling each of them records a credit_wait span.
+func TestTraceCreditWaitSpanRidesNextBatch(t *testing.T) {
+	defer obs.SetTraceSampleRate(0)
+	obs.SetTraceSampleRate(1)
+
+	srv := NewCoordinatorServer(slowCoordinator{core.NewInfiniteCoordinator(16)})
+	t.Cleanup(func() { _ = srv.Close() })
+	client, err := DialSiteMem(&floodSite{id: 0, hasher: hashing.NewMurmur2(3)}, srv,
+		Options{BatchSize: 1, Window: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waits := obs.StageHistogram(obs.StageCreditWait)
+	stalls0, spans0 := obsCreditStalls.Value(), waits.Count()
+	for i := 0; i < 100; i++ {
+		if err := client.Observe(fmt.Sprintf("cw-%d", i), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := client.Close(); err != nil {
+		t.Fatal(err)
+	}
+	stalls, spans := obsCreditStalls.Value()-stalls0, waits.Count()-spans0
+	if stalls == 0 {
+		t.Fatal("writer never stalled on credit")
+	}
+	if spans+1 < stalls {
+		t.Fatalf("%d credit stalls recorded only %d credit_wait spans, want at least %d", stalls, spans, stalls-1)
 	}
 }

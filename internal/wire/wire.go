@@ -372,15 +372,6 @@ func (s *CoordinatorServer) RestrictRoute() {
 	s.mu.Unlock()
 }
 
-// LeaseValid reports whether this server holds a live lease. A server that
-// has never been granted one reports true: leasing is armed by the first
-// lease-renew frame, so standalone deployments are unaffected.
-func (s *CoordinatorServer) LeaseValid() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return !s.leaseArmed || nowNanos() <= s.leaseUntil
-}
-
 // PushRoute broadcasts a route-push frame to every connected site (every
 // connection that has completed the hello handshake), returning how many
 // mailboxes accepted it. Delivery is best-effort — a site whose mailbox is
